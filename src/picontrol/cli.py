@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import hashlib
 import json
 import math
 import os
@@ -260,6 +261,13 @@ def read_json(path):
         return json.load(fh)
 
 
+def read_json_input(path):
+    """A JSON input's tree and its provenance entry (path, sha256 of file)."""
+    tree = read_json(path)
+    with open(path, "rb") as fh:
+        return tree, (path, hashlib.sha256(fh.read()).hexdigest())
+
+
 @contextlib.contextmanager
 def experiment_lock(out_dir):
     """Exclusive lock on an experiment directory via an O_EXCL lock file."""
@@ -287,10 +295,21 @@ def refuse_existing(out_dir, names, force):
             + " (pass --force)")
 
 
-def write_resolved_config(out_dir, command, cfg):
+def write_resolved_config(out_dir, command, cfg, inputs=None):
+    """Write the merged config a command ran with.
+
+    Input paths are machine-local, so the file records the sha256 of each
+    input the command read (inputs maps a label to (path, sha256)) in place
+    of the configured paths; the paths themselves go to stdout.
+    """
+    inputs = inputs or {}
     tree = copy.deepcopy(cfg)
+    del tree["paths"]
     tree["command"] = command
+    tree["inputs"] = {label: digest for label, (_, digest) in inputs.items()}
     write_json(os.path.join(out_dir, f"resolved_config.{command}.json"), tree)
+    for label, (path, digest) in sorted(inputs.items()):
+        print(f"input {label}: {path} (sha256 {digest})")
 
 
 # ------------------------------------------------- model and checkpoint (de)io
@@ -344,14 +363,15 @@ def write_checkpoint(path, models, hyper_tree, environment, epoch, opt_state):
 
 
 def load_checkpoint(path):
-    tree = read_json(path)
+    """(checkpoint tree, provenance entry) for a checkpoint file."""
+    tree, source = read_json_input(path)
     _require(isinstance(tree, dict) and "version" in tree,
              f"{path} is not a checkpoint file")
     if tree["version"] != CHECKPOINT_VERSION:
         raise ParameterError(
             f"checkpoint version {tree['version']} is not supported "
             f"(this build reads version {CHECKPOINT_VERSION})")
-    return tree
+    return tree, source
 
 
 # ----------------------------------------------------------------- dataset io
@@ -430,9 +450,10 @@ DATASET_READERS = {"linear": read_linear_dataset,
 
 
 def load_dataset(cfg, out_dir):
-    """(manifest, train samples, test samples) for the configured dataset."""
+    """(manifest, train samples, test samples, manifest provenance entry)
+    for the configured dataset."""
     ds_dir = cfg["paths"]["dataset"] or out_dir
-    manifest = read_json(os.path.join(ds_dir, "manifest.json"))
+    manifest, source = read_json_input(os.path.join(ds_dir, "manifest.json"))
     _require(manifest.get("version") == MANIFEST_VERSION,
              f"dataset manifest in {ds_dir} has unsupported version "
              f"{manifest.get('version')}")
@@ -443,7 +464,7 @@ def load_dataset(cfg, out_dir):
     reader = DATASET_READERS[env]
     train = reader(os.path.join(ds_dir, "train_data.csv"))
     test = reader(os.path.join(ds_dir, "test_data.csv"))
-    return manifest, train, test
+    return manifest, train, test, source
 
 
 # --------------------------------------------------------------- gen-data
@@ -584,7 +605,8 @@ def cmd_train(cfg, out_dir, force):
     if pretraining:
         artifacts.append("pretrain_history.csv")
     refuse_existing(out_dir, artifacts, force)
-    manifest, train_set, test_set = load_dataset(cfg, out_dir)
+    manifest, train_set, test_set, ds_source = load_dataset(cfg, out_dir)
+    inputs = {"dataset_manifest": ds_source}
     hp, warm = hyper_from_cfg(cfg["hyper"])
     if env == "linear" and train_set:
         demo_len = train_set[0].useq.shape[0]
@@ -600,7 +622,6 @@ def cmd_train(cfg, out_dir, force):
         else:
             state_dim, control_dim = sample.x.size, sample.u.size
         check_memory_budget(hp, state_dim, control_dim,
-                            int(tr["batch_size"]),
                             budget=int(cfg["memory_budget"]))
     root = RngStream(cfg["seed"]).child(STREAM_TRAIN)
     started = time.time()
@@ -608,7 +629,7 @@ def cmd_train(cfg, out_dir, force):
     if tr["resume"]:
         ck_path = cfg["paths"]["checkpoint"] or os.path.join(
             out_dir, "checkpoint_last.json")
-        ck = load_checkpoint(ck_path)
+        ck, inputs["checkpoint"] = load_checkpoint(ck_path)
         _require(ck["environment"] == env,
                  f"checkpoint environment {ck['environment']!r} does not "
                  f"match config environment {env!r}")
@@ -702,7 +723,7 @@ def cmd_train(cfg, out_dir, force):
         print(f"closed loop: success rate {cl['success_rate']:.2f}, "
               f"mean cost {_fmt(cl['mean_cost'])}")
     write_json(os.path.join(out_dir, "train_report.json"), report)
-    write_resolved_config(out_dir, "train", cfg)
+    write_resolved_config(out_dir, "train", cfg, inputs)
     row = history[-1]
     print(f"final epoch {final_epoch}: train total {_fmt(row['train_total'])},"
           f" test total {_fmt(row['test_total'])}")
@@ -720,7 +741,8 @@ def cmd_eval(cfg, out_dir, force):
     env = cfg["environment"]
     refuse_existing(out_dir, ["eval_report.json", "resolved_config.eval.json"],
                     force)
-    manifest, train_set, test_set = load_dataset(cfg, out_dir)
+    manifest, train_set, test_set, ds_source = load_dataset(cfg, out_dir)
+    inputs = {"dataset_manifest": ds_source}
     started = time.time()
     ck_ref = cfg["paths"]["checkpoint"] or os.path.join(out_dir,
                                                         "checkpoint_best.json")
@@ -751,7 +773,7 @@ def cmd_eval(cfg, out_dir, force):
         else:
             report["closed_loop"] = _closed_loop_eval("expert", manifest, cfg)
     else:
-        ck = load_checkpoint(ck_ref)
+        ck, inputs["checkpoint"] = load_checkpoint(ck_ref)
         _require(ck["environment"] == env,
                  f"checkpoint environment {ck['environment']!r} does not "
                  f"match config environment {env!r}")
@@ -784,7 +806,7 @@ def cmd_eval(cfg, out_dir, force):
         report["mse"] = mse
 
     write_json(os.path.join(out_dir, "eval_report.json"), report)
-    write_resolved_config(out_dir, "eval", cfg)
+    write_resolved_config(out_dir, "eval", cfg, inputs)
     if report["mse"] is not None:
         print("MSE: " + ", ".join(f"{key} {_fmt(value)}"
                                   for key, value in report["mse"].items()))
@@ -806,24 +828,25 @@ def cmd_eval(cfg, out_dir, force):
 
 
 def _pendulum_planner(cfg, out_dir, controller):
+    """(planner, inputs read to build it) for a simulate controller."""
     if controller == "expert":
         dyn, cost, weight = pendulum_teacher_models()
         return ILQRPlanner(dyn, cost, weight.matrix(),
                            int(cfg["dataset"]["expert_horizon"]),
-                           ILQRSettings(max_iterations=100))
+                           ILQRSettings(max_iterations=100)), {}
     if controller == "pi_teacher":
         dyn, cost, weight = pendulum_teacher_models()
         hp, warm = hyper_from_cfg(cfg["hyper"])
         return PathIntegralPlanner(ModelSet(dyn, cost, weight), hp,
-                                   warm_recurrences=warm)
+                                   warm_recurrences=warm), {}
     ck_path = cfg["paths"]["checkpoint"] or os.path.join(
         out_dir, "checkpoint_best.json")
-    ck = load_checkpoint(ck_path)
+    ck, source = load_checkpoint(ck_path)
     _require(ck["environment"] == "pendulum",
              "simulate needs a pendulum checkpoint")
     hp, warm = hyper_from_cfg(ck["hyper"])
     return PathIntegralPlanner(models_from_json(ck["models"]), hp,
-                               warm_recurrences=warm)
+                               warm_recurrences=warm), {"checkpoint": source}
 
 
 def cmd_simulate(cfg, out_dir, force):
@@ -836,9 +859,10 @@ def cmd_simulate(cfg, out_dir, force):
                     force)
     root = RngStream(cfg["seed"]).child(STREAM_SIM)
     started = time.time()
+    inputs = {}
 
     if env == "pendulum":
-        planner = _pendulum_planner(cfg, out_dir, sim["controller"])
+        planner, inputs = _pendulum_planner(cfg, out_dir, sim["controller"])
         results, excluded = benchmark_runs(planner, root, runs,
                                            float(sim["duration"]))
         _, teacher_cost, _ = pendulum_teacher_models()
@@ -866,7 +890,7 @@ def cmd_simulate(cfg, out_dir, force):
         else:
             ck_path = cfg["paths"]["checkpoint"] or os.path.join(
                 out_dir, "checkpoint_best.json")
-            ck = load_checkpoint(ck_path)
+            ck, inputs["checkpoint"] = load_checkpoint(ck_path)
             _require(ck["environment"] == "linear",
                      "simulate needs a linear checkpoint")
             hp, warm = hyper_from_cfg(ck["hyper"])
@@ -887,7 +911,7 @@ def cmd_simulate(cfg, out_dir, force):
     report = {"version": 1, "environment": env,
               "controller": sim["controller"], "metrics": metrics}
     write_json(os.path.join(out_dir, "simulate_report.json"), report)
-    write_resolved_config(out_dir, "simulate", cfg)
+    write_resolved_config(out_dir, "simulate", cfg, inputs)
     if env == "pendulum":
         print(f"{runs} runs: success rate {metrics['success_rate']:.2f}, "
               f"mean cost {_fmt(metrics['mean_cost'])} "
@@ -963,12 +987,13 @@ def cmd_gradcheck(cfg, out_dir, force):
         useq, tape = pi_net_forward(x0, None, models, hp, noise_stream,
                                     record=True)
         cotangent = (2.0 / demo.size) * (useq - demo)
-        grad = pi_net_backward(tape, cotangent, models)
+        grad = pi_net_backward(tape, cotangent, models, freeze=frozen)
         if gc["corrupt"] is not None:
             # negative-control knob: scales one segment's reverse pass
             grad.segment(gc["corrupt"])[:] *= 1.001
         for name in frozen:
-            grad.segment(name)[:] = 0.0
+            frozen_abs[name] = max(frozen_abs[name], float(
+                np.max(np.abs(grad.segment(name)), initial=0.0)))
 
         layout = grad.layout
         live = [(name, offset, length) for name, offset, length in layout
@@ -1058,12 +1083,13 @@ def cmd_export_costmap(cfg, out_dir, force):
     refuse_existing(out_dir, ["costmap.csv",
                               "resolved_config.export-costmap.json"], force)
     started = time.time()
+    inputs = {}
     if cm["source"] == "teacher":
         cost = PendulumTeacherCost()
     else:
         ck_path = cfg["paths"]["checkpoint"] or os.path.join(
             out_dir, "checkpoint_best.json")
-        ck = load_checkpoint(ck_path)
+        ck, inputs["checkpoint"] = load_checkpoint(ck_path)
         _require(ck["environment"] == "pendulum",
                  "cost maps need a pendulum checkpoint")
         cost = models_from_json(ck["models"]).cost
@@ -1083,7 +1109,7 @@ def cmd_export_costmap(cfg, out_dir, force):
         for row, value in zip(states, values):
             writer.writerow([repr(float(row[0])), repr(float(row[1])),
                              repr(float(value))])
-    write_resolved_config(out_dir, "export-costmap", cfg)
+    write_resolved_config(out_dir, "export-costmap", cfg, inputs)
     print(f"wrote {states.shape[0]} grid rows "
           f"({int(cm['theta_cells'])} x {int(cm['theta_dot_cells'])})")
     print(f"elapsed {time.time() - started:.1f} s")

@@ -92,9 +92,13 @@ def gaussian_noise(rng: RngStream, num_samples: int, horizon: int, dim: int,
                    sigma: float) -> np.ndarray:
     """Draw the K x N x m exploration noise tensor.
 
-    Trajectory k gets its own Philox stream keyed by (stream key, k), so
-    sample k's block is independent of how many trajectories are drawn
-    alongside it and of any execution order.
+    Keying contract: with (b0, b1) = rng.base_key(), trajectory k's block is
+    the Philox stream with key (b0, (b1 + k) mod 2**64) and a zero counter,
+    read as normal(0, sigma) draws in C order.  Sample k's block is therefore
+    independent of how many trajectories are drawn alongside it and of any
+    execution order.  Philox is counter-based, so one generator reset to
+    each trajectory's key and counter yields exactly the stream a freshly
+    built generator would; one generator is built per call.
 
     Args:
         rng: stream for this draw (callers use one child per kernel iteration).
@@ -109,10 +113,24 @@ def gaussian_noise(rng: RngStream, num_samples: int, horizon: int, dim: int,
     if not (sigma > 0 and np.isfinite(sigma)):
         raise ParameterError(f"sigma must be positive, got {sigma}")
     base = rng.base_key()
+    # array addition wraps modulo 2**64 without the scalar overflow warning
+    second = base[1] + np.arange(num_samples, dtype=np.uint64)
+    bitgen = np.random.Philox(key=base)
+    gen = np.random.Generator(bitgen)
+    key = np.array(base)
+    # a freshly keyed generator's state: zero counter, empty output buffer
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, np.uint64), "key": key},
+             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
     out = np.empty((num_samples, horizon, dim))
-    for k in range(num_samples):
-        bitgen = np.random.Philox(key=[base[0], base[1] + np.uint64(k)])
-        out[k] = np.random.Generator(bitgen).normal(0.0, sigma, size=(horizon, dim))
+    for k, word in enumerate(second):
+        key[1] = word
+        bitgen.state = state
+        gen.standard_normal(out=out[k])
+    # normal(0.0, sigma) computes 0.0 + sigma * z; the + 0.0 turns -0.0 into 0.0
+    out *= sigma
+    out += 0.0
     return out
 
 

@@ -299,22 +299,26 @@ def pretrain_dynamics(dynamics, train_samples, test_samples, epochs,
 # ------------------------------------------------------- end-to-end loops
 
 
-def tape_bytes(hp: PIHyperParams, state_dim, control_dim, batch_size):
-    """Upper estimate of recorded-forward storage for one batch."""
+def tape_bytes(hp: PIHyperParams, state_dim, control_dim):
+    """Upper estimate of one recorded forward's storage.
+
+    Training records and releases one sample's tape at a time, so this is
+    what a training step holds whatever the batch size.
+    """
     K, N, U = hp.num_samples, hp.horizon, hp.recurrences
     per_record = (K * (N * control_dim + (N + 1) * state_dim + 3 * N + 2)
                   + 2 * N * control_dim)
-    return 8 * U * per_record * batch_size
+    return 8 * U * per_record
 
 
-def check_memory_budget(hp, state_dim, control_dim, batch_size,
+def check_memory_budget(hp, state_dim, control_dim,
                         budget=DEFAULT_MEMORY_BUDGET):
-    need = tape_bytes(hp, state_dim, control_dim, batch_size)
+    need = tape_bytes(hp, state_dim, control_dim)
     if need > budget:
         factor = math.ceil(need / budget)
         raise MemoryBudgetError(
-            f"recorded forward needs ~{need} bytes for batch {batch_size} "
-            f"(budget {budget}); reduce batch size or K/N/U by ~{factor}x")
+            f"recorded forward needs ~{need} bytes per sample "
+            f"(budget {budget}); reduce K/N/U by ~{factor}x")
 
 
 def sample_loss_and_grad(models: ModelSet, hp: PIHyperParams, sample, regime,
@@ -434,8 +438,7 @@ def train_pinet(models: ModelSet, hp: PIHyperParams, train_set, test_set,
     rng = rng or RngStream(0)
     sample0 = train_set[0]
     x0 = sample0.x0 if regime == "open_loop" else sample0.x
-    check_memory_budget(hp, x0.size, models.weight.dim, batch_size,
-                        memory_budget)
+    check_memory_budget(hp, x0.size, models.weight.dim, memory_budget)
     layout = models.pack().layout
     mask = _freeze_mask(layout, freeze)
     if opt_state is None:

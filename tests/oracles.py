@@ -144,6 +144,22 @@ def monte_carlo_objective(x0, useq, step_fn, running_fn, terminal_fn, R,
     return total / n_rollouts
 
 
+def per_trajectory_noise(base_key, num_samples, horizon, dim, sigma):
+    """Exploration noise with one freshly built Philox generator per trajectory.
+
+    Trajectory k is keyed (b0, (b1 + k) mod 2**64) from base_key = (b0, b1)
+    and drawn with normal(0, sigma).  The key is passed as a uint64 array:
+    Philox parses a list of Python ints above 2**63 through float64.
+    """
+    b0, b1 = (int(word) for word in base_key)
+    out = np.empty((num_samples, horizon, dim))
+    for k in range(num_samples):
+        key = np.array([b0, (b1 + k) % 2**64], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        out[k] = gen.normal(0.0, sigma, size=(horizon, dim))
+    return out
+
+
 # Frozen hand-derived reference values.  Each is worked out from the
 # defining formula with plain arithmetic, independent of library code.
 

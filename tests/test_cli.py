@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from picontrol.cli import main
+from picontrol.cli import default_config, hyper_from_cfg, main
+from picontrol.controller import pi_net_backward
+from picontrol.core import RngStream
+from picontrol.envs import sample_linear_teacher
+from picontrol.training import check_memory_budget, tape_bytes
 
 
 def run_cli(*argv):
@@ -159,6 +164,16 @@ def test_train_memory_budget_refusal_exits_3(linear_dataset, tmp_path):
                    "--seed", "7") == 3
 
 
+def test_paper_scale_linear_tape_fits_the_default_budget():
+    cfg = default_config("linear", "paper")
+    hp, _ = hyper_from_cfg(cfg["hyper"])
+    state_dim, control_dim = sample_linear_teacher(RngStream(0)).G.shape
+    # one 100 x 200 x 200 tape is ~0.27 GiB; the batch of 8 is never held
+    assert tape_bytes(hp, state_dim, control_dim) == 290_240_000
+    check_memory_budget(hp, state_dim, control_dim,
+                        budget=cfg["memory_budget"])
+
+
 def test_train_demo_length_must_match_horizon(linear_dataset, tmp_path):
     tree = json.loads(json.dumps(LINEAR_TINY))
     tree["paths"] = {"dataset": str(linear_dataset)}
@@ -197,7 +212,8 @@ def test_eval_round_trips_manifest_metrics(pendulum_dataset, tmp_path):
         assert report["closed_loop"][key] == manifest["expert_metrics"][key]
 
 
-def test_eval_reports_mse_for_checkpoint(linear_run, tmp_path):
+def test_eval_reports_mse_for_checkpoint(linear_run, linear_dataset, tmp_path,
+                                        capsys):
     out, tree = linear_run
     ev_tree = json.loads(json.dumps(tree))
     ev_tree["paths"]["checkpoint"] = str(out / "checkpoint_best.json")
@@ -208,6 +224,16 @@ def test_eval_reports_mse_for_checkpoint(linear_run, tmp_path):
     assert report["mse"]["train_ctrl"] > 0.0
     assert report["mse"]["test_ctrl"] > 0.0
     assert report["dataset_sizes"] == {"train": 4, "test": 2}
+    # the resolved config names its inputs by digest; the paths are printed
+    inputs = {"checkpoint": out / "checkpoint_best.json",
+              "dataset_manifest": linear_dataset / "manifest.json"}
+    resolved = json.load(open(ev / "resolved_config.eval.json"))
+    assert "paths" not in resolved
+    assert resolved["inputs"] == {
+        label: hashlib.sha256(path.read_bytes()).hexdigest()
+        for label, path in inputs.items()}
+    printed = capsys.readouterr().out
+    assert all(str(path) in printed for path in inputs.values())
 
 
 def test_eval_with_empty_test_split_reports_null(tmp_path):
@@ -302,6 +328,20 @@ def test_gradcheck_frozen_segment_has_exactly_zero_gradient(tmp_path):
     assert report["frozen_max_abs_gradient"]["dynamics"] == 0.0
 
 
+def test_gradcheck_measures_the_frozen_gradient(tmp_path, monkeypatch):
+    # negative control: a reverse pass that ignores freeze must show up
+    def ignore_freeze(tape, cotangent, models, freeze=()):
+        return pi_net_backward(tape, cotangent, models)
+
+    monkeypatch.setattr("picontrol.cli.pi_net_backward", ignore_freeze)
+    cfg = write_cfg(tmp_path / "cfg.json",
+                    {"gradcheck": {"instances": 1, "freeze": ["dynamics"]}})
+    out = tmp_path / "gc"
+    assert run_cli("gradcheck", "--config", cfg, "--out", out, "--seed", "0") == 0
+    report = json.load(open(out / "gradcheck_report.json"))
+    assert report["frozen_max_abs_gradient"]["dynamics"] > 0.0
+
+
 # ----------------------------------------------------------- export-costmap
 
 
@@ -357,7 +397,6 @@ def test_resolved_config_is_always_written(tmp_path):
 
 
 def test_profile_flag_changes_scale():
-    from picontrol.cli import default_config
     desk = default_config("pendulum", "desk")
     paper = default_config("pendulum", "paper")
     assert desk["hyper"]["num_samples"] == 30

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import oracles
 from picontrol.core import (ParameterError, ParamVector, PIHyperParams,
                             RngStream, ShapeError, gaussian_noise,
                             pack_params, unpack_params)
@@ -104,6 +107,42 @@ def test_noise_trajectory_blocks_do_not_depend_on_k():
     small = gaussian_noise(rng, 3, 6, 2, 0.1)
     big = gaussian_noise(rng, 8, 6, 2, 0.1)
     assert np.array_equal(small, big[:3])
+
+
+def test_noise_matches_per_trajectory_generators_bytewise():
+    for seed in range(4):
+        rng = RngStream(seed).child(3, seed)
+        for K in (1, 7, 100):
+            for m in (1, 2, 3):
+                for sigma in (1e-3, 0.2, 3.7):
+                    got = gaussian_noise(rng, K, 5, m, sigma)
+                    want = oracles.per_trajectory_noise(rng.base_key(), K, 5,
+                                                        m, sigma)
+                    assert got.tobytes() == want.tobytes(), (seed, K, m, sigma)
+
+
+def test_noise_key_wraps_modulo_2_64_without_warning(monkeypatch):
+    b0 = np.uint64(12345)
+    monkeypatch.setattr(RngStream, "base_key", lambda self: np.array(
+        [b0, np.uint64(2**64 - 2)], dtype=np.uint64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gaussian_noise(RngStream(0), 5, 4, 2, 0.3)
+    want = oracles.per_trajectory_noise((b0, 2**64 - 2), 5, 4, 2, 0.3)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_noise_builds_at_most_one_generator_per_call(monkeypatch):
+    builds = []
+    real = np.random.Philox
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    gaussian_noise(RngStream(3).child(1), 100, 30, 1, 0.2)
+    assert len(builds) <= 1
 
 
 def test_noise_rejects_bad_sigma():
