@@ -257,15 +257,16 @@ def write_json(path, tree):
 
 
 def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """A JSON file's tree and the sha256 of the bytes it was parsed from."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return json.loads(data), hashlib.sha256(data).hexdigest()
 
 
 def read_json_input(path):
     """A JSON input's tree and its provenance entry (path, sha256 of file)."""
-    tree = read_json(path)
-    with open(path, "rb") as fh:
-        return tree, (path, hashlib.sha256(fh.read()).hexdigest())
+    tree, digest = read_json(path)
+    return tree, (path, digest)
 
 
 @contextlib.contextmanager

@@ -236,6 +236,26 @@ def test_eval_reports_mse_for_checkpoint(linear_run, linear_dataset, tmp_path,
     assert all(str(path) in printed for path in inputs.values())
 
 
+def test_read_json_digests_the_bytes_it_parses(tmp_path, monkeypatch):
+    from picontrol import cli
+    path = tmp_path / "in.json"
+    path.write_bytes(b'{"a": [1, 2.5]}\n')
+    opened = []
+    real_open = open
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return real_open(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    tree, (source, digest) = cli.read_json_input(str(path))
+    assert tree == {"a": [1, 2.5]}
+    assert source == str(path)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    # one read: a file replaced between parse and digest cannot mismatch
+    assert opened == [str(path)]
+
+
 def test_eval_with_empty_test_split_reports_null(tmp_path):
     tree = json.loads(json.dumps(LINEAR_TINY))
     tree["dataset"]["n_test"] = 0
