@@ -96,14 +96,15 @@ def monte_carlo_rollout(x0, useq, noise, dynamics, cost, weight_matrix, nu):
     v = np.asarray(useq, dtype=float)[None, :, :] + noise
     states = np.empty((K, N + 1, n))
     states[:, 0] = x0
-    state_cost = np.empty((K, N))
+    x = states[:, 0]
     for i in range(N):
-        x = states[:, i]
-        state_cost[:, i] = cost.running(x)
-        states[:, i + 1] = dynamics.forward(x, v[:, i])
+        x = dynamics.forward(x, v[:, i])
+        states[:, i + 1] = x
     if not np.all(np.isfinite(states)):
         bad = int(np.argwhere(~np.isfinite(states).all(axis=(1, 2)))[0, 0])
         raise NumericError(f"rollout diverged on trajectory {bad}")
+    # state costs of all K*N rollout states in one call
+    state_cost = cost.running(states[:, :N].reshape(K * N, n)).reshape(K, N)
     running = state_cost + control_penalty(useq, noise, weight_matrix, nu)
     terminal = np.asarray(cost.terminal(states[:, N]), dtype=float)
     if not (np.all(np.isfinite(running)) and np.all(np.isfinite(terminal))):

@@ -117,14 +117,15 @@ def gaussian_noise(rng: RngStream, num_samples: int, horizon: int, dim: int,
     second = base[1] + np.arange(num_samples, dtype=np.uint64)
     bitgen = np.random.Philox(key=base)
     gen = np.random.Generator(bitgen)
-    key = np.array(base)
-    # a freshly keyed generator's state: zero counter, empty output buffer
+    # a freshly keyed generator's state: zero counter, empty output buffer;
+    # the state setter reads Python ints faster than numpy scalars
+    key = [int(base[0]), 0]
     state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, np.uint64), "key": key},
-             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     out = np.empty((num_samples, horizon, dim))
-    for k, word in enumerate(second):
+    for k, word in enumerate(second.tolist()):
         key[1] = word
         bitgen.state = state
         gen.standard_normal(out=out[k])

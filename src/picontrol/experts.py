@@ -137,12 +137,15 @@ def _ilqr_backward(A, B, qx, qxx, useq, R, mu):
     k = np.empty((N, m))
     Kfb = np.empty((N, m, n))
     expected = 0.0
+    reg = mu * np.eye(m)
     for i in range(N - 1, -1, -1):
+        # shared products keep each term's left-to-right evaluation order
+        BtV = B[i].T @ Vxx
         Qx = qx[i] + A[i].T @ Vx
         Qu = R @ useq[i] + B[i].T @ Vx
         Qxx = qxx[i] + A[i].T @ Vxx @ A[i]
-        Quu = R + B[i].T @ Vxx @ B[i] + mu * np.eye(m)
-        Qux = B[i].T @ Vxx @ A[i]
+        Quu = R + BtV @ B[i] + reg
+        Qux = BtV @ A[i]
         try:
             L = np.linalg.cholesky(Quu)
         except np.linalg.LinAlgError:
@@ -151,8 +154,9 @@ def _ilqr_backward(A, B, qx, qxx, useq, R, mu):
         k[i] = -rhs[:, 0]
         Kfb[i] = -rhs[:, 1:]
         expected += -k[i] @ Qu - 0.5 * k[i] @ Quu @ k[i]
-        Vx = Qx + Kfb[i].T @ Quu @ k[i] + Kfb[i].T @ Qu + Qux.T @ k[i]
-        Vxx = Qxx + Kfb[i].T @ Quu @ Kfb[i] + Kfb[i].T @ Qux + Qux.T @ Kfb[i]
+        KtQuu = Kfb[i].T @ Quu
+        Vx = Qx + KtQuu @ k[i] + Kfb[i].T @ Qu + Qux.T @ k[i]
+        Vxx = Qxx + KtQuu @ Kfb[i] + Kfb[i].T @ Qux + Qux.T @ Kfb[i]
         Vxx = 0.5 * (Vxx + Vxx.T)
     return k, Kfb, expected
 

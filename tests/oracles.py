@@ -121,6 +121,26 @@ def fine_pendulum_step(state, torque, dt=0.1, substeps=1000, gain=0.5):
     return x
 
 
+def pendulum_rk4(x, v, dt=0.1, gain=0.5):
+    """The literal batched RK4 pendulum step on (B, 2) stage arrays.
+
+    x + (dt/6)(k1 + 2 k2 + 2 k3 + k4) with k = (omega, -sin(theta) + gain u),
+    every stage a whole-array operation in the textbook order.  Used as
+    the bitwise reference for the per-component model step.
+    """
+    def rhs(s):
+        out = np.empty_like(s)
+        out[:, 0] = s[:, 1]
+        out[:, 1] = -np.sin(s[:, 0]) + gain * v[:, 0]
+        return out
+
+    k1 = rhs(x)
+    k2 = rhs(x + 0.5 * dt * k1)
+    k3 = rhs(x + 0.5 * dt * k2)
+    k4 = rhs(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def monte_carlo_objective(x0, useq, step_fn, running_fn, terminal_fn, R,
                           sigma, n_rollouts, rng):
     """Estimate the expected noisy-rollout cost of a control plan.

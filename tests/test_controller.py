@@ -8,8 +8,9 @@ from picontrol.controller import (ModelSet, PathIntegralPlanner, RolloutCosts,
                                   update_controls)
 from picontrol.core import (ConsistencyError, NumericError, ParamVector,
                             PIHyperParams, RngStream, unpack_params)
+from picontrol.envs import pendulum_teacher_models, sample_linear_teacher
 from picontrol.models import (ControlCostWeight, LinearDynamics, MLPCost,
-                              MLPDynamics, QuadraticCost)
+                              MLPDynamics, QuadraticCost, control_penalty)
 
 import oracles
 
@@ -95,6 +96,36 @@ def test_rollout_running_cost_includes_control_penalty():
     # q(1) = 1; penalty = 0.5*4 + 0.5*(1 - 1/1500)*0.25 + 2*0.5
     expected = 1.0 + 2.0 + 0.5 * (1.0 - 1.0 / 1500.0) * 0.25 + 1.0
     assert costs.running[0, 0] == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("K", [1, 5, 100])
+@pytest.mark.parametrize("env", ["pendulum", "linear"])
+def test_rollout_costs_equal_per_step_cost_calls_bitwise(env, K, monkeypatch):
+    if env == "pendulum":
+        dynamics, cost, weight = pendulum_teacher_models()
+    else:
+        dynamics, cost, weight = sample_linear_teacher(RngStream(4)).models()
+    R = weight.matrix()
+    n, m = cost.state_dim, R.shape[0]
+    N = 7
+    gen = RngStream(8).child(K).generator()
+    x0 = gen.standard_normal(n)
+    useq = gen.standard_normal((N, m))
+    noise = 0.3 * gen.standard_normal((K, N, m))
+    real = cost.running
+    calls = []
+
+    def counting(x):
+        calls.append(x.shape[0])
+        return real(x)
+
+    monkeypatch.setattr(cost, "running", counting)
+    states, costs = monte_carlo_rollout(x0, useq, noise, dynamics, cost, R,
+                                        1500.0)
+    assert calls == [K * N]  # one state-cost call per rollout
+    per_step = np.column_stack([real(states[:, i]) for i in range(N)])
+    want = per_step + control_penalty(useq, noise, R, 1500.0)
+    assert costs.running.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------- cost-to-go

@@ -104,6 +104,24 @@ def test_pendulum_step_matches_fine_integrator():
         assert np.max(np.abs(got - ref)) < 1e-5
 
 
+def test_pendulum_forward_matches_literal_rk4_bitwise():
+    gen = RngStream(17).generator()
+    for dt, gain in ((0.1, 0.5), (0.05, 2.0)):
+        dyn = PendulumDynamics(dt=dt, gain=gain)
+        for B in (1, 2, 7, 100):
+            for scale in (1e-3, 1e-1, 1.0, 10.0, 1e3):
+                # strided columns of rollout-shaped tensors and their
+                # contiguous copies
+                states = scale * gen.standard_normal((B, 6, 2))
+                controls = scale * gen.standard_normal((B, 5, 1))
+                x, v = states[:, 2], controls[:, 2]
+                want = oracles.pendulum_rk4(x, v, dt, gain).tobytes()
+                assert dyn.forward(x, v).tobytes() == want, (dt, B, scale)
+                got = dyn.forward(np.ascontiguousarray(x),
+                                  np.ascontiguousarray(v))
+                assert got.tobytes() == want, (dt, B, scale)
+
+
 def test_pendulum_energy_drift_is_small():
     dyn = PendulumDynamics()
     gen = RngStream(11).generator()
