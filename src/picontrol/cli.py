@@ -29,30 +29,21 @@ import numpy as np
 from .controller import ModelSet, PathIntegralPlanner, pi_net_backward, pi_net_forward
 from .core import (ConsistencyError, MemoryBudgetError, NumericError,
                    ParameterError, ParamVector, PIHyperParams, RngStream,
-                   ShapeError, unpack_params)
+                   ShapeError, atomic_open, unpack_params)
 from .envs import (benchmark_runs, pendulum_teacher_models,
                    sample_linear_teacher, write_trajectory_csv)
 from .experts import ILQRPlanner, ILQRSettings, LQRPlanner, LQRProblem, sequence_cost
-from .models import (MODEL_TYPES, ControlCostWeight, MLPCost, MLPDynamics,
-                     PendulumTeacherCost, model_type_name)
+from .models import MODEL_TYPES, PendulumTeacherCost, model_type_name
 from .training import (DEFAULT_MEMORY_BUDGET, MPCSample, OpenLoopSample,
                        OptimizerState, PENDULUM_GOALS, build_linear_dataset,
                        build_pendulum_dataset, check_memory_budget,
-                       evaluate_losses, expert_rollouts, init_linear_models,
+                       evaluate_losses, init_linear_models,
                        init_pendulum_models, loss_ctrl, loss_dyn,
                        pretrain_dynamics, train_pinet, write_history_csv)
 
 CHECKPOINT_VERSION = 1
 MANIFEST_VERSION = 1
 SEGMENTS = ("dynamics", "cost", "control_weight")
-
-# Published swing-up benchmark rows, printed next to our numbers for
-# comparison: (label, train MSE, test MSE, success rate, mean cost, params).
-REFERENCE_RESULTS = (
-    ("expert", None, None, 1.0, 404.63, None),
-    ("trained sampling controller", 2.22e-3, 1.65e-3, 1.0, 429.69, 242),
-    ("frozen-dynamics variant", 1.91e-3, 5.73e-3, 1.0, 982.22, 49),
-)
 
 # Sub-stream ids under the command seed; commands never share streams.
 STREAM_DATA, STREAM_TRAIN, STREAM_EVAL, STREAM_SIM, STREAM_GRAD = range(5)
@@ -63,7 +54,7 @@ STREAM_DATA, STREAM_TRAIN, STREAM_EVAL, STREAM_SIM, STREAM_GRAD = range(5)
 
 def default_config(environment, profile):
     """The fully defaulted config tree for one (environment, profile)."""
-    common = {
+    return {
         "experiment_id": f"{environment}-{profile}",
         "environment": environment,
         "seed": 0,
@@ -84,58 +75,8 @@ def default_config(environment, profile):
             "theta_range": [-math.pi, math.pi],
             "theta_dot_range": [-2.0 * math.pi, 2.0 * math.pi],
         },
+        **ENVIRONMENTS[environment].defaults(profile),
     }
-    if environment == "linear":
-        paper = profile == "paper"
-        horizon = 200 if paper else 50
-        common.update({
-            "hyper": {"lambda": 0.01, "nu": 1500.0, "sigma": 0.2,
-                      "num_samples": 100 if paper else 50,
-                      "horizon": horizon,
-                      "recurrences": 200 if paper else 50,
-                      "warm_recurrences": None},
-            "models": {"dt": 0.01},
-            "dataset": {"n_train": 950 if paper else 200,
-                        "n_test": 50 if paper else 20,
-                        "demo_horizon": horizon},
-            "training": {"regime": "open_loop", "epochs": 100,
-                         "batch_size": 8,
-                         "loss_weights": {"ctrl": 1.0, "cost": 0.0},
-                         "freeze": [], "lr": 1e-3, "pretrain": None,
-                         "resume": False,
-                         "target_test_ctrl_ratio": 0.1},
-            "evaluation": None,
-            "simulate": {"runs": 1, "controller": "expert",
-                         "horizon": horizon},
-        })
-    else:
-        paper = profile == "paper"
-        common.update({
-            "hyper": {"lambda": 0.01, "nu": 1500.0, "sigma": 0.005,
-                      "num_samples": 100 if paper else 30,
-                      "horizon": 30,
-                      "recurrences": 200 if paper else 20,
-                      "warm_recurrences": 20 if paper else None},
-            "models": {"hidden": 12, "dt": 0.1},
-            "dataset": {"n_traj_train": 50 if paper else 4,
-                        "n_traj_test": 10 if paper else 1,
-                        "duration": 40.0 if paper else 8.0,
-                        "expert_horizon": 210},
-            "training": {"regime": "mpc",
-                         "epochs": 100 if paper else 30,
-                         "batch_size": 8,
-                         "loss_weights": {"ctrl": 1.0, "cost": 1e-3},
-                         "freeze": ["dynamics"], "lr": 1e-3,
-                         "pretrain": {"epochs": 500 if paper else 200,
-                                      "batch_size": 64, "lr": 1e-3},
-                         "resume": False,
-                         "target_test_ctrl_ratio": None},
-            "evaluation": {"runs": 10 if paper else 3,
-                           "duration": 60.0 if paper else 10.0},
-            "simulate": {"runs": 1, "controller": "expert",
-                         "duration": 10.0},
-        })
-    return common
 
 
 def _deep_merge(base, override, prefix=""):
@@ -154,13 +95,8 @@ def _require(condition, message):
 
 
 def _validate(cfg):
-    env = cfg["environment"]
-    _require(env in ("linear", "pendulum"),
-             f"environment must be linear or pendulum, got {env!r}")
     hyper_from_cfg(cfg["hyper"])
     tr = cfg["training"]
-    _require(tr["regime"] in ("open_loop", "mpc"),
-             f"training.regime must be open_loop or mpc, got {tr['regime']!r}")
     _require(set(tr["loss_weights"]) <= {"ctrl", "cost"},
              "training.loss_weights keys must be ctrl/cost")
     _require(set(tr["freeze"]) <= set(SEGMENTS),
@@ -206,8 +142,9 @@ def load_config(path, profile, seed):
         _require(isinstance(overrides, dict),
                  f"config file {path} must hold a JSON object")
     environment = overrides.get("environment", "pendulum")
-    _require(environment in ("linear", "pendulum"),
-             f"environment must be linear or pendulum, got {environment!r}")
+    _require(isinstance(environment, str) and environment in ENVIRONMENTS,
+             f"environment must be {' or '.join(ENVIRONMENTS)}, "
+             f"got {environment!r}")
     cfg = default_config(environment, profile)
     _deep_merge(cfg, overrides)
     if seed is not None:
@@ -251,7 +188,7 @@ def _plain(obj):
 
 def write_json(path, tree):
     # sort_keys + allow_nan=False keep the bytes stable and the values finite
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(_plain(tree), fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
@@ -363,23 +300,28 @@ def write_checkpoint(path, models, hyper_tree, environment, epoch, opt_state):
     })
 
 
-def load_checkpoint(path):
-    """(checkpoint tree, provenance entry) for a checkpoint file."""
-    tree, source = read_json_input(path)
+def _load_models(cfg, out_dir, default_name, inputs):
+    """(models, checkpoint tree) of paths.checkpoint, or of default_name in
+    out_dir, checked against the config; records provenance in inputs."""
+    path = cfg["paths"]["checkpoint"] or os.path.join(out_dir, default_name)
+    tree, inputs["checkpoint"] = read_json_input(path)
     _require(isinstance(tree, dict) and "version" in tree,
              f"{path} is not a checkpoint file")
     if tree["version"] != CHECKPOINT_VERSION:
         raise ParameterError(
             f"checkpoint version {tree['version']} is not supported "
             f"(this build reads version {CHECKPOINT_VERSION})")
-    return tree, source
+    _require(tree["environment"] == cfg["environment"],
+             f"checkpoint environment {tree['environment']!r} does not "
+             f"match config environment {cfg['environment']!r}")
+    return models_from_json(tree["models"]), tree
 
 
 # ----------------------------------------------------------------- dataset io
 
 
 def write_linear_dataset(path, samples):
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         if not samples:
             return
@@ -409,7 +351,7 @@ def read_linear_dataset(path):
 
 
 def write_pendulum_dataset(path, samples):
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         if not samples:
             return
@@ -444,114 +386,344 @@ def read_pendulum_dataset(path):
     return samples
 
 
-DATASET_WRITERS = {"linear": write_linear_dataset,
-                   "pendulum": write_pendulum_dataset}
-DATASET_READERS = {"linear": read_linear_dataset,
-                   "pendulum": read_pendulum_dataset}
-
-
-def load_dataset(cfg, out_dir):
-    """(manifest, train samples, test samples, manifest provenance entry)
-    for the configured dataset."""
-    ds_dir = cfg["paths"]["dataset"] or out_dir
-    manifest, source = read_json_input(os.path.join(ds_dir, "manifest.json"))
+def load_manifest(ds_dir, environment, inputs):
+    """The checked manifest of the dataset in ds_dir; records provenance."""
+    manifest, inputs["dataset_manifest"] = read_json_input(
+        os.path.join(ds_dir, "manifest.json"))
     _require(manifest.get("version") == MANIFEST_VERSION,
              f"dataset manifest in {ds_dir} has unsupported version "
              f"{manifest.get('version')}")
-    env = cfg["environment"]
-    _require(manifest["environment"] == env,
+    _require(manifest["environment"] == environment,
              f"dataset environment {manifest['environment']!r} does not "
-             f"match config environment {env!r}")
-    reader = DATASET_READERS[env]
-    train = reader(os.path.join(ds_dir, "train_data.csv"))
-    test = reader(os.path.join(ds_dir, "test_data.csv"))
-    return manifest, train, test, source
+             f"match config environment {environment!r}")
+    return manifest
 
 
-# --------------------------------------------------------------- gen-data
+def load_dataset(cfg, out_dir, env, inputs):
+    """(manifest, train samples, test samples) of the configured dataset."""
+    ds_dir = cfg["paths"]["dataset"] or out_dir
+    manifest = load_manifest(ds_dir, env.name, inputs)
+    train = env.read_dataset(os.path.join(ds_dir, "train_data.csv"))
+    test = env.read_dataset(os.path.join(ds_dir, "test_data.csv"))
+    return manifest, train, test
 
 
-def _run_metrics(results, requested):
-    """Success rate over requested runs; mean cost over completed ones."""
-    successes = sum(1 for r in results if r.success)
-    costs = [r.cost for r in results if r.cost is not None]
-    return {"success_rate": successes / requested if requested else None,
-            "mean_cost": float(np.mean(costs)) if costs else None}
+# ------------------------------------------------------------ shared helpers
 
 
-def cmd_gen_data(cfg, out_dir, force):
-    env = cfg["environment"]
-    artifacts = ["train_data.csv", "test_data.csv", "manifest.json",
-                 "resolved_config.gen-data.json"]
-    refuse_existing(out_dir, artifacts, force)
-    root = RngStream(cfg["seed"]).child(STREAM_DATA)
-    ds = cfg["dataset"]
-    started = time.time()
+def mean_demo_cost(models, samples):
+    """Mean cost of the demonstrated plans under models; None if empty."""
+    if not samples:
+        return None
+    weight_matrix = models.weight.matrix()
+    totals = [sequence_cost(models.dynamics, models.cost, weight_matrix,
+                            s.x0, s.useq)[0] for s in samples]
+    return float(np.mean(totals))
 
-    if env == "linear":
-        teacher = sample_linear_teacher(root.child(1), cfg["models"]["dt"])
-        train, test = build_linear_dataset(teacher, root.child(0),
+
+def _check_horizon(samples, hp, owner):
+    """Open-loop demonstrations must plan exactly the planner's horizon."""
+    if samples and isinstance(samples[0], OpenLoopSample):
+        demo_len = samples[0].useq.shape[0]
+        _require(demo_len == hp.horizon,
+                 f"dataset demos plan {demo_len} steps but the {owner} "
+                 f"horizon is {hp.horizon}")
+
+
+def _pi_planner(models, hyper_tree):
+    """The path-integral planner over models with a config's hyper block."""
+    hp, warm = hyper_from_cfg(hyper_tree)
+    return PathIntegralPlanner(models, hp, warm_recurrences=warm)
+
+
+def _segment_sizes(models):
+    return {name: int(length) for name, _, length in models.pack().layout}
+
+
+def _fmt(value):
+    return "n/a" if value is None else f"{value:.6g}"
+
+
+def _fmt_items(tree):
+    return ", ".join(f"{key} {_fmt(value)}" for key, value in tree.items())
+
+
+def _print_closed_loop(cl):
+    if cl is not None:
+        print(f"closed loop ({cl['runs']} runs x {cl['duration']} s): "
+              f"success rate {cl['success_rate']:.2f}, "
+              f"mean cost {_fmt(cl['mean_cost'])}")
+
+
+# -------------------------------------------------------------- environments
+#
+# One object per plant holds all that differs between the plants (defaults,
+# data, models, regime, teacher, expert, metrics); commands use it unbranched.
+
+
+class LinearEnvironment:
+    """Random linear systems imitated open loop from LQR demonstrations.
+
+    Each dataset draws its own system and records it in the manifest as
+    the teacher; plans are scored by their cost on that system.
+    """
+
+    name = "linear"
+    regime = "open_loop"
+    goals = None
+    pretrains = False
+    reference_results = ()
+
+    def defaults(self, profile):
+        paper = profile == "paper"
+        horizon = 200 if paper else 50
+        return {
+            "hyper": {"lambda": 0.01, "nu": 1500.0, "sigma": 0.2,
+                      "num_samples": 100 if paper else 50,
+                      "horizon": horizon,
+                      "recurrences": 200 if paper else 50,
+                      "warm_recurrences": None},
+            "models": {"dt": 0.01},
+            "dataset": {"n_train": 950 if paper else 200,
+                        "n_test": 50 if paper else 20,
+                        "demo_horizon": horizon},
+            "training": {"epochs": 100, "batch_size": 8,
+                         "loss_weights": {"ctrl": 1.0, "cost": 0.0},
+                         "freeze": [], "lr": 1e-3, "pretrain": None,
+                         "resume": False,
+                         "target_test_ctrl_ratio": 0.1},
+            "evaluation": None,
+            "simulate": {"runs": 1, "controller": "expert",
+                         "horizon": horizon},
+        }
+
+    def generate(self, cfg, root):
+        """(train, test, manifest entries, summary) of new demonstrations."""
+        ds = cfg["dataset"]
+        system = sample_linear_teacher(root.child(1), cfg["models"]["dt"])
+        train, test = build_linear_dataset(system, root.child(0),
                                            int(ds["n_train"]),
                                            int(ds["n_test"]),
                                            int(ds["demo_horizon"]))
-        dyn, cost, weight = teacher.models()
-        weight_matrix = weight.matrix()
-
-        def mean_demo_cost(samples):
-            if not samples:
-                return None
-            totals = [sequence_cost(dyn, cost, weight_matrix,
-                                    s.x0, s.useq)[0] for s in samples]
-            return float(np.mean(totals))
-
-        manifest = {
-            "version": MANIFEST_VERSION,
-            "environment": env,
-            "seed": cfg["seed"],
-            "dataset": ds,
+        teacher = ModelSet(*system.models())
+        fields = {
             "sizes": {"n_train": len(train), "n_test": len(test)},
-            "teacher": {"models": models_to_json(ModelSet(dyn, cost, weight)),
-                        "dt": teacher.dt},
-            "expert_metrics": {"mean_demo_cost_train": mean_demo_cost(train),
-                               "mean_demo_cost_test": mean_demo_cost(test)},
+            "teacher": {"models": models_to_json(teacher), "dt": system.dt},
+            "expert_metrics": self._demo_costs(teacher, train, test),
         }
-        summary = (f"wrote {len(train)} train / {len(test)} test "
-                   "open-loop samples")
-    else:
+        return (train, test, fields,
+                f"wrote {len(train)} train / {len(test)} test open-loop "
+                "samples")
+
+    def write_dataset(self, path, samples):
+        write_linear_dataset(path, samples)
+
+    def read_dataset(self, path):
+        return read_linear_dataset(path)
+
+    def init_models(self, cfg, rng):
+        return init_linear_models(rng, cfg["models"]["dt"])
+
+    def expert(self, teacher, horizon):
+        return LQRPlanner(LQRProblem(teacher.dynamics.F, teacher.dynamics.G,
+                                     teacher.cost.Q, teacher.weight.matrix(),
+                                     horizon))
+
+    def simulation(self, cfg, out_dir, inputs):
+        """(teacher, time step, expert horizon) for simulate; the teacher is
+        the dataset's system, which its checkpoints are scored against."""
+        manifest = load_manifest(cfg["paths"]["dataset"] or out_dir,
+                                 self.name, inputs)
+        return (models_from_json(manifest["teacher"]["models"]),
+                float(manifest["teacher"]["dt"]),
+                int(cfg["simulate"]["horizon"]))
+
+    def simulate(self, planner, teacher, root, sim):
+        """(states, controls) per run and metrics of one plan per
+        standard-normal start state, scored on the teacher."""
+        weight_matrix = teacher.weight.matrix()
+        trajectories, per_run = [], []
+        for i in range(int(sim["runs"])):
+            x0 = root.child(i).generator().normal(size=4)
+            useq = planner.plan(x0, rng=root.child(1000 + i))
+            total, states = sequence_cost(teacher.dynamics, teacher.cost,
+                                          weight_matrix, x0, useq)
+            trajectories.append((states, useq))
+            per_run.append({"cost": float(total)})
+        return trajectories, {
+            "mean_cost": float(np.mean([r["cost"] for r in per_run])),
+            "per_run": per_run}
+
+    def closed_loop(self, planner, manifest):
+        return None
+
+    def dynamics_errors(self, models, train, test):
+        return {}
+
+    def expert_metrics(self, manifest, train, test):
+        teacher = models_from_json(manifest["teacher"]["models"])
+        return {"demo_cost": self._demo_costs(teacher, train, test)}
+
+    def _demo_costs(self, teacher, train, test):
+        return {"mean_demo_cost_train": mean_demo_cost(teacher, train),
+                "mean_demo_cost_test": mean_demo_cost(teacher, test)}
+
+
+class PendulumEnvironment:
+    """Pendulum swing-up imitated in the MPC regime from iLQR transitions.
+
+    The teacher is the fixed plant model; controllers are scored by
+    closed-loop runs from the benchmark start distribution.
+    """
+
+    name = "pendulum"
+    regime = "mpc"
+    goals = PENDULUM_GOALS
+    pretrains = True
+    # published swing-up benchmark rows, printed next to our numbers
+    reference_results = (
+        "reference swing-up results:",
+        "  expert: MSE n/a, success rate 100%, cost 404.63",
+        "  trained sampling controller: MSE 0.00222/0.00165, "
+        "success rate 100%, cost 429.69, 242 params",
+        "  frozen-dynamics variant: MSE 0.00191/0.00573, "
+        "success rate 100%, cost 982.22, 49 params",
+    )
+
+    def defaults(self, profile):
+        paper = profile == "paper"
+        return {
+            "hyper": {"lambda": 0.01, "nu": 1500.0, "sigma": 0.005,
+                      "num_samples": 100 if paper else 30,
+                      "horizon": 30,
+                      "recurrences": 200 if paper else 20,
+                      "warm_recurrences": 20 if paper else None},
+            "models": {"hidden": 12, "dt": 0.1},
+            "dataset": {"n_traj_train": 50 if paper else 4,
+                        "n_traj_test": 10 if paper else 1,
+                        "duration": 40.0 if paper else 8.0,
+                        "expert_horizon": 210},
+            "training": {"epochs": 100 if paper else 30,
+                         "batch_size": 8,
+                         "loss_weights": {"ctrl": 1.0, "cost": 1e-3},
+                         "freeze": ["dynamics"], "lr": 1e-3,
+                         "pretrain": {"epochs": 500 if paper else 200,
+                                      "batch_size": 64, "lr": 1e-3},
+                         "resume": False,
+                         "target_test_ctrl_ratio": None},
+            "evaluation": {"runs": 10 if paper else 3,
+                           "duration": 60.0 if paper else 10.0},
+            "simulate": {"runs": 1, "controller": "expert",
+                         "duration": 10.0},
+        }
+
+    def generate(self, cfg, root):
+        ds = cfg["dataset"]
+        horizon = int(ds["expert_horizon"])
         train, test, excluded = build_pendulum_dataset(
             root.child(0), int(ds["n_traj_train"]), int(ds["n_traj_test"]),
-            float(ds["duration"]), int(ds["expert_horizon"]))
+            float(ds["duration"]), horizon)
+        teacher = ModelSet(*pendulum_teacher_models())
+        # closed_loop's stream, so an expert evaluation of this dataset
+        # reproduces the manifest's expert metrics
         protocol = cfg["evaluation"]
-        runs, _ = expert_rollouts(root.child(2), int(protocol["runs"]),
-                                  float(protocol["duration"]),
-                                  int(ds["expert_horizon"]))
-        metrics = _run_metrics(runs, int(protocol["runs"]))
-        dyn, cost, weight = pendulum_teacher_models()
-        manifest = {
-            "version": MANIFEST_VERSION,
-            "environment": env,
-            "seed": cfg["seed"],
-            "dataset": ds,
+        _, runs = self.simulate(self.expert(teacher, horizon), teacher,
+                                root.child(2), protocol)
+        metrics = {key: runs[key] for key in ("success_rate", "mean_cost")}
+        print(f"expert evaluation: success rate {metrics['success_rate']:.2f}"
+              f", mean cost {metrics['mean_cost']:.6g}")
+        fields = {
             "evaluation": protocol,
             "sizes": {"n_traj_train": int(ds["n_traj_train"]),
                       "n_traj_test": int(ds["n_traj_test"]),
                       "transitions_train": len(train),
                       "transitions_test": len(test),
                       "excluded": excluded},
-            "teacher": {"models": models_to_json(ModelSet(dyn, cost, weight)),
-                        "expert_horizon": int(ds["expert_horizon"])},
+            "teacher": {"models": models_to_json(teacher),
+                        "expert_horizon": horizon},
             "expert_metrics": metrics,
         }
-        summary = (f"wrote {len(train)} train / {len(test)} test transitions "
-                   f"({excluded} divergent runs dropped)")
-        rate = metrics["success_rate"]
-        print(f"expert evaluation: success rate {rate:.2f}, "
-              f"mean cost {metrics['mean_cost']:.6g}")
+        return (train, test, fields,
+                f"wrote {len(train)} train / {len(test)} test transitions "
+                f"({excluded} divergent runs dropped)")
 
-    writer = DATASET_WRITERS[env]
-    writer(os.path.join(out_dir, "train_data.csv"), train)
-    writer(os.path.join(out_dir, "test_data.csv"), test)
-    write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    def write_dataset(self, path, samples):
+        write_pendulum_dataset(path, samples)
+
+    def read_dataset(self, path):
+        return read_pendulum_dataset(path)
+
+    def init_models(self, cfg, rng):
+        return init_pendulum_models(rng, int(cfg["models"]["hidden"]),
+                                    float(cfg["models"]["dt"]))
+
+    def expert(self, teacher, horizon):
+        return ILQRPlanner(teacher.dynamics, teacher.cost,
+                           teacher.weight.matrix(), horizon,
+                           ILQRSettings(max_iterations=100))
+
+    def simulation(self, cfg, out_dir, inputs):
+        # the plant's own models, shared by every dataset
+        teacher = ModelSet(*pendulum_teacher_models())
+        return (teacher, teacher.dynamics.dt,
+                int(cfg["dataset"]["expert_horizon"]))
+
+    def simulate(self, planner, teacher, root, sim):
+        # benchmark_runs scores every run with the teacher's cost
+        runs = int(sim["runs"])
+        results, excluded = benchmark_runs(planner, root, runs,
+                                           float(sim["duration"]))
+        # success rate over requested runs, mean cost over completed ones
+        costs = [r.cost for r in results if r.cost is not None]
+        return [(r.states, r.controls) for r in results], {
+            "success_rate": sum(1 for r in results if r.success) / runs,
+            "mean_cost": float(np.mean(costs)) if costs else None,
+            "excluded": excluded,
+            "per_run": [{"success": bool(r.success), "cost": r.cost}
+                        for r in results]}
+
+    def closed_loop(self, planner, manifest):
+        """Simulate's metrics under the dataset's evaluation protocol."""
+        protocol = manifest["evaluation"]
+        stream = RngStream(manifest["seed"]).child(STREAM_DATA).child(2)
+        _, metrics = self.simulate(planner, None, stream, protocol)
+        del metrics["per_run"]
+        metrics.update({"runs": int(protocol["runs"]),
+                        "duration": float(protocol["duration"])})
+        return metrics
+
+    def dynamics_errors(self, models, train, test):
+        return {"train_dyn": (loss_dyn(models.dynamics, train, wrap=True)
+                              if train else None),
+                "test_dyn": (loss_dyn(models.dynamics, test, wrap=True)
+                             if test else None)}
+
+    def expert_metrics(self, manifest, train, test):
+        expert = self.expert(ModelSet(*pendulum_teacher_models()),
+                             int(manifest["teacher"]["expert_horizon"]))
+        return {"closed_loop": self.closed_loop(expert, manifest)}
+
+
+ENVIRONMENTS = {"linear": LinearEnvironment(),
+                "pendulum": PendulumEnvironment()}
+
+
+# --------------------------------------------------------------- gen-data
+
+
+def cmd_gen_data(cfg, out_dir, force):
+    env = ENVIRONMENTS[cfg["environment"]]
+    refuse_existing(out_dir, ["train_data.csv", "test_data.csv",
+                              "manifest.json",
+                              "resolved_config.gen-data.json"], force)
+    started = time.time()
+    train, test, fields, summary = env.generate(
+        cfg, RngStream(cfg["seed"]).child(STREAM_DATA))
+    env.write_dataset(os.path.join(out_dir, "train_data.csv"), train)
+    env.write_dataset(os.path.join(out_dir, "test_data.csv"), test)
+    write_json(os.path.join(out_dir, "manifest.json"),
+               {"version": MANIFEST_VERSION, "environment": env.name,
+                "seed": cfg["seed"], "dataset": cfg["dataset"], **fields})
     write_resolved_config(out_dir, "gen-data", cfg)
     print(summary)
     print(f"elapsed {time.time() - started:.1f} s")
@@ -560,100 +732,43 @@ def cmd_gen_data(cfg, out_dir, force):
 # ------------------------------------------------------------------- train
 
 
-def _segment_sizes(models):
-    return {name: int(length) for name, _, length in models.pack().layout}
-
-
-def _print_reference_results():
-    print("reference swing-up results:")
-    for label, mse_train, mse_test, rate, mean_cost, params in REFERENCE_RESULTS:
-        mse = ("MSE n/a" if mse_train is None
-               else f"MSE {mse_train:.3g}/{mse_test:.3g}")
-        extra = "" if params is None else f", {params} params"
-        print(f"  {label}: {mse}, success rate {rate:.0%}, "
-              f"cost {mean_cost}{extra}")
-
-
-def _closed_loop_eval(models_or_expert, manifest, cfg):
-    """Closed-loop swing-up metrics under the dataset's recorded protocol."""
-    protocol = manifest["evaluation"]
-    stream = RngStream(manifest["seed"]).child(STREAM_DATA).child(2)
-    runs = int(protocol["runs"])
-    duration = float(protocol["duration"])
-    if models_or_expert == "expert":
-        results, excluded = expert_rollouts(
-            stream, runs, duration,
-            int(manifest["teacher"]["expert_horizon"]))
-    else:
-        models, hp, warm = models_or_expert
-        planner = PathIntegralPlanner(models, hp, warm_recurrences=warm)
-        dyn, cost, weight = pendulum_teacher_models()
-        results, excluded = benchmark_runs(planner, stream, runs, duration,
-                                           cost_model=cost,
-                                           weight_matrix=weight.matrix())
-    metrics = _run_metrics(results, runs)
-    metrics.update({"runs": runs, "duration": duration, "excluded": excluded})
-    return metrics
-
-
 def cmd_train(cfg, out_dir, force):
-    env = cfg["environment"]
+    env = ENVIRONMENTS[cfg["environment"]]
     tr = cfg["training"]
-    pretraining = env == "pendulum" and tr["pretrain"] and not tr["resume"]
+    pretraining = env.pretrains and tr["pretrain"] and not tr["resume"]
     artifacts = ["checkpoint_best.json", "checkpoint_last.json",
                  "history.csv", "train_report.json",
                  "resolved_config.train.json"]
     if pretraining:
         artifacts.append("pretrain_history.csv")
     refuse_existing(out_dir, artifacts, force)
-    manifest, train_set, test_set, ds_source = load_dataset(cfg, out_dir)
-    inputs = {"dataset_manifest": ds_source}
-    hp, warm = hyper_from_cfg(cfg["hyper"])
-    if env == "linear" and train_set:
-        demo_len = train_set[0].useq.shape[0]
-        _require(demo_len == hp.horizon,
-                 f"dataset demos plan {demo_len} steps but the controller "
-                 f"horizon is {hp.horizon}")
-    # refuse oversized configs before spending time on evals or pretraining
-    probe = (train_set or test_set)
-    if probe:
-        sample = probe[0]
-        if env == "linear":
-            state_dim, control_dim = sample.x0.size, sample.useq.shape[1]
-        else:
-            state_dim, control_dim = sample.x.size, sample.u.size
-        check_memory_budget(hp, state_dim, control_dim,
-                            budget=int(cfg["memory_budget"]))
+    inputs = {}
+    manifest, train_set, test_set = load_dataset(cfg, out_dir, env, inputs)
+    hp, _ = hyper_from_cfg(cfg["hyper"])
+    _check_horizon(train_set, hp, "controller")
     root = RngStream(cfg["seed"]).child(STREAM_TRAIN)
     started = time.time()
 
     if tr["resume"]:
-        ck_path = cfg["paths"]["checkpoint"] or os.path.join(
-            out_dir, "checkpoint_last.json")
-        ck, inputs["checkpoint"] = load_checkpoint(ck_path)
-        _require(ck["environment"] == env,
-                 f"checkpoint environment {ck['environment']!r} does not "
-                 f"match config environment {env!r}")
-        models = models_from_json(ck["models"])
+        models, ck = _load_models(cfg, out_dir, "checkpoint_last.json",
+                                  inputs)
         opt = optimizer_from_json(ck["optimizer"])
         start_epoch = int(ck["epoch"])
     else:
-        if env == "linear":
-            models = init_linear_models(root.child(0), cfg["models"]["dt"])
-        else:
-            models = init_pendulum_models(root.child(0),
-                                          int(cfg["models"]["hidden"]),
-                                          float(cfg["models"]["dt"]))
+        models = env.init_models(cfg, root.child(0))
         opt = OptimizerState(v=np.zeros(models.pack().size),
                              lr=float(tr["lr"]))
         start_epoch = 0
+    # refuse oversized configs before spending time on evals or pretraining
+    check_memory_budget(hp, models.dynamics.state_dim, models.weight.dim,
+                        budget=int(cfg["memory_budget"]))
 
     sizes = _segment_sizes(models)
     total_params = sum(sizes.values())
     pieces = ", ".join(f"{name} {size}" for name, size in sizes.items())
     print(f"trainable parameters: {total_params} ({pieces})")
-    if env == "pendulum":
-        _print_reference_results()
+    for line in env.reference_results:
+        print(line)
 
     pretrain_rows = None
     if pretraining:
@@ -668,16 +783,14 @@ def cmd_train(cfg, out_dir, force):
               + ("" if pretrain_rows[-1]["test_dyn"] is None else
                  f", held-out {pretrain_rows[-1]['test_dyn']:.3e}"))
 
-    regime = "open_loop" if env == "linear" else "mpc"
-    goals = PENDULUM_GOALS if env == "pendulum" else None
     weights = tr["loss_weights"]
     train_rng = root.child(2)
     target = None
     if tr["target_test_ctrl_ratio"] is not None and test_set:
         # same stream train_pinet uses for its own test snapshots
-        initial = evaluate_losses(models, hp, test_set, regime,
+        initial = evaluate_losses(models, hp, test_set, env.regime,
                                   train_rng.child(0).child(2), weights,
-                                  goals)["ctrl"]
+                                  env.goals)["ctrl"]
         target = float(tr["target_test_ctrl_ratio"]) * initial
         print(f"early-stop target: test control loss <= {target:.6e}")
 
@@ -687,12 +800,12 @@ def cmd_train(cfg, out_dir, force):
         best["epoch"] = epoch
         best["row"] = dict(row)
         write_checkpoint(os.path.join(out_dir, "checkpoint_best.json"),
-                         current_models, cfg["hyper"], env, epoch, opt)
+                         current_models, cfg["hyper"], env.name, epoch, opt)
 
-    history = train_pinet(models, hp, train_set, test_set, regime,
+    history = train_pinet(models, hp, train_set, test_set, env.regime,
                           int(tr["epochs"]), int(tr["batch_size"]),
                           freeze=tuple(tr["freeze"]), loss_weights=weights,
-                          goals=goals, rng=train_rng, lr=float(tr["lr"]),
+                          goals=env.goals, rng=train_rng, lr=float(tr["lr"]),
                           memory_budget=int(cfg["memory_budget"]),
                           target_test_ctrl=target, on_best=save_best,
                           opt_state=opt, start_epoch=start_epoch)
@@ -700,11 +813,11 @@ def cmd_train(cfg, out_dir, force):
     write_history_csv(os.path.join(out_dir, "history.csv"), history)
     final_epoch = int(history[-1]["epoch"])
     write_checkpoint(os.path.join(out_dir, "checkpoint_last.json"),
-                     models, cfg["hyper"], env, final_epoch, opt)
+                     models, cfg["hyper"], env.name, final_epoch, opt)
 
     report = {
         "version": 1,
-        "environment": env,
+        "environment": env.name,
         "parameter_count": total_params,
         "parameter_segments": sizes,
         "epochs_run": final_epoch - start_epoch,
@@ -715,14 +828,10 @@ def cmd_train(cfg, out_dir, force):
         "best": best.get("row"),
         "pretrain_final": None if pretrain_rows is None
                           else dict(pretrain_rows[-1]),
-        "closed_loop": None,
+        "closed_loop": env.closed_loop(_pi_planner(models, cfg["hyper"]),
+                                       manifest),
     }
-    if env == "pendulum" and manifest.get("evaluation"):
-        report["closed_loop"] = _closed_loop_eval((models, hp, warm),
-                                                  manifest, cfg)
-        cl = report["closed_loop"]
-        print(f"closed loop: success rate {cl['success_rate']:.2f}, "
-              f"mean cost {_fmt(cl['mean_cost'])}")
+    _print_closed_loop(report["closed_loop"])
     write_json(os.path.join(out_dir, "train_report.json"), report)
     write_resolved_config(out_dir, "train", cfg, inputs)
     row = history[-1]
@@ -731,95 +840,54 @@ def cmd_train(cfg, out_dir, force):
     print(f"elapsed {time.time() - started:.1f} s")
 
 
-def _fmt(value):
-    return "n/a" if value is None else f"{value:.6g}"
-
-
 # -------------------------------------------------------------------- eval
 
 
 def cmd_eval(cfg, out_dir, force):
-    env = cfg["environment"]
+    env = ENVIRONMENTS[cfg["environment"]]
     refuse_existing(out_dir, ["eval_report.json", "resolved_config.eval.json"],
                     force)
-    manifest, train_set, test_set, ds_source = load_dataset(cfg, out_dir)
-    inputs = {"dataset_manifest": ds_source}
+    inputs = {}
+    manifest, train_set, test_set = load_dataset(cfg, out_dir, env, inputs)
     started = time.time()
     ck_ref = cfg["paths"]["checkpoint"] or os.path.join(out_dir,
                                                         "checkpoint_best.json")
-    expert = ck_ref == "expert"
-    report = {"version": 1, "environment": env,
-              "checkpoint": "expert" if expert else os.path.basename(ck_ref),
+    report = {"version": 1, "environment": env.name,
+              "checkpoint": os.path.basename(ck_ref),
               "dataset_sizes": {"train": len(train_set),
                                 "test": len(test_set)},
               "mse": None, "closed_loop": None, "demo_cost": None,
               "parameter_count": None, "parameter_segments": None}
 
-    if expert:
-        if env == "linear":
-            teacher = models_from_json(manifest["teacher"]["models"])
-            weight_matrix = teacher.weight.matrix()
-
-            def mean_demo_cost(samples):
-                if not samples:
-                    return None
-                totals = [sequence_cost(teacher.dynamics, teacher.cost,
-                                        weight_matrix, s.x0, s.useq)[0]
-                          for s in samples]
-                return float(np.mean(totals))
-
-            report["demo_cost"] = {
-                "mean_demo_cost_train": mean_demo_cost(train_set),
-                "mean_demo_cost_test": mean_demo_cost(test_set)}
-        else:
-            report["closed_loop"] = _closed_loop_eval("expert", manifest, cfg)
+    if ck_ref == "expert":
+        report.update(env.expert_metrics(manifest, train_set, test_set))
     else:
-        ck, inputs["checkpoint"] = load_checkpoint(ck_ref)
-        _require(ck["environment"] == env,
-                 f"checkpoint environment {ck['environment']!r} does not "
-                 f"match config environment {env!r}")
-        models = models_from_json(ck["models"])
-        hp, warm = hyper_from_cfg(ck["hyper"])
-        if env == "linear" and train_set:
-            demo_len = train_set[0].useq.shape[0]
-            _require(demo_len == hp.horizon,
-                     f"dataset demos plan {demo_len} steps but the "
-                     f"checkpoint horizon is {hp.horizon}")
+        models, ck = _load_models(cfg, out_dir, "checkpoint_best.json",
+                                  inputs)
+        planner = _pi_planner(models, ck["hyper"])
+        hp = planner.hp
+        _check_horizon(train_set, hp, "checkpoint")
         sizes = _segment_sizes(models)
         report["parameter_count"] = sum(sizes.values())
         report["parameter_segments"] = sizes
-        regime = "open_loop" if env == "linear" else "mpc"
         weights = {"ctrl": 1.0, "cost": 0.0}
         stream = RngStream(manifest["seed"]).child(STREAM_DATA).child(3)
-        mse = {
-            "train_ctrl": evaluate_losses(models, hp, train_set, regime,
+        report["mse"] = {
+            "train_ctrl": evaluate_losses(models, hp, train_set, env.regime,
                                           stream.child(0), weights)["ctrl"],
-            "test_ctrl": evaluate_losses(models, hp, test_set, regime,
+            "test_ctrl": evaluate_losses(models, hp, test_set, env.regime,
                                          stream.child(1), weights)["ctrl"],
+            **env.dynamics_errors(models, train_set, test_set),
         }
-        if env == "pendulum":
-            mse["train_dyn"] = (loss_dyn(models.dynamics, train_set, wrap=True)
-                                if train_set else None)
-            mse["test_dyn"] = (loss_dyn(models.dynamics, test_set, wrap=True)
-                               if test_set else None)
-            report["closed_loop"] = _closed_loop_eval((models, hp, warm),
-                                                      manifest, cfg)
-        report["mse"] = mse
+        report["closed_loop"] = env.closed_loop(planner, manifest)
 
     write_json(os.path.join(out_dir, "eval_report.json"), report)
     write_resolved_config(out_dir, "eval", cfg, inputs)
     if report["mse"] is not None:
-        print("MSE: " + ", ".join(f"{key} {_fmt(value)}"
-                                  for key, value in report["mse"].items()))
+        print("MSE: " + _fmt_items(report["mse"]))
     if report["demo_cost"] is not None:
-        print("demo cost: " + ", ".join(
-            f"{key} {_fmt(value)}"
-            for key, value in report["demo_cost"].items()))
-    if report["closed_loop"] is not None:
-        cl = report["closed_loop"]
-        print(f"closed loop ({cl['runs']} runs x {cl['duration']} s): "
-              f"success rate {cl['success_rate']:.2f}, "
-              f"mean cost {_fmt(cl['mean_cost'])}")
+        print("demo cost: " + _fmt_items(report["demo_cost"]))
+    _print_closed_loop(report["closed_loop"])
     if report["parameter_count"] is not None:
         print(f"trainable parameters: {report['parameter_count']}")
     print(f"elapsed {time.time() - started:.1f} s")
@@ -828,30 +896,8 @@ def cmd_eval(cfg, out_dir, force):
 # ---------------------------------------------------------------- simulate
 
 
-def _pendulum_planner(cfg, out_dir, controller):
-    """(planner, inputs read to build it) for a simulate controller."""
-    if controller == "expert":
-        dyn, cost, weight = pendulum_teacher_models()
-        return ILQRPlanner(dyn, cost, weight.matrix(),
-                           int(cfg["dataset"]["expert_horizon"]),
-                           ILQRSettings(max_iterations=100)), {}
-    if controller == "pi_teacher":
-        dyn, cost, weight = pendulum_teacher_models()
-        hp, warm = hyper_from_cfg(cfg["hyper"])
-        return PathIntegralPlanner(ModelSet(dyn, cost, weight), hp,
-                                   warm_recurrences=warm), {}
-    ck_path = cfg["paths"]["checkpoint"] or os.path.join(
-        out_dir, "checkpoint_best.json")
-    ck, source = load_checkpoint(ck_path)
-    _require(ck["environment"] == "pendulum",
-             "simulate needs a pendulum checkpoint")
-    hp, warm = hyper_from_cfg(ck["hyper"])
-    return PathIntegralPlanner(models_from_json(ck["models"]), hp,
-                               warm_recurrences=warm), {"checkpoint": source}
-
-
 def cmd_simulate(cfg, out_dir, force):
-    env = cfg["environment"]
+    env = ENVIRONMENTS[cfg["environment"]]
     sim = cfg["simulate"]
     runs = int(sim["runs"])
     run_files = [f"run_{i:03d}.csv" for i in range(runs)]
@@ -861,64 +907,27 @@ def cmd_simulate(cfg, out_dir, force):
     root = RngStream(cfg["seed"]).child(STREAM_SIM)
     started = time.time()
     inputs = {}
-
-    if env == "pendulum":
-        planner, inputs = _pendulum_planner(cfg, out_dir, sim["controller"])
-        results, excluded = benchmark_runs(planner, root, runs,
-                                           float(sim["duration"]))
-        _, teacher_cost, _ = pendulum_teacher_models()
-        for i, result in enumerate(results):
-            write_trajectory_csv(os.path.join(out_dir, run_files[i]),
-                                 result.states, result.controls, dt=0.1,
-                                 cost_model=teacher_cost)
-        metrics = _run_metrics(results, runs)
-        metrics.update({"excluded": excluded,
-                        "per_run": [{"success": bool(r.success),
-                                     "cost": r.cost} for r in results]})
+    teacher, dt, expert_horizon = env.simulation(cfg, out_dir, inputs)
+    controller = sim["controller"]
+    if controller == "expert":
+        planner = env.expert(teacher, expert_horizon)
+    elif controller == "pi_teacher":
+        planner = _pi_planner(teacher, cfg["hyper"])
     else:
-        teacher = sample_linear_teacher(root.child(1), cfg["models"]["dt"])
-        dyn, cost, weight = teacher.models()
-        weight_matrix = weight.matrix()
-        horizon = int(sim["horizon"])
-        controller = sim["controller"]
-        if controller == "expert":
-            planner = LQRPlanner(LQRProblem(teacher.F, teacher.G, teacher.Q,
-                                            teacher.R, horizon))
-        elif controller == "pi_teacher":
-            hp, warm = hyper_from_cfg(cfg["hyper"])
-            planner = PathIntegralPlanner(ModelSet(dyn, cost, weight), hp,
-                                          warm_recurrences=warm)
-        else:
-            ck_path = cfg["paths"]["checkpoint"] or os.path.join(
-                out_dir, "checkpoint_best.json")
-            ck, inputs["checkpoint"] = load_checkpoint(ck_path)
-            _require(ck["environment"] == "linear",
-                     "simulate needs a linear checkpoint")
-            hp, warm = hyper_from_cfg(ck["hyper"])
-            planner = PathIntegralPlanner(models_from_json(ck["models"]), hp,
-                                          warm_recurrences=warm)
-        per_run = []
-        for i in range(runs):
-            x0 = root.child(i).generator().normal(size=4)
-            useq = planner.plan(x0, rng=root.child(1000 + i))
-            total, states = sequence_cost(dyn, cost, weight_matrix, x0, useq)
-            write_trajectory_csv(os.path.join(out_dir, run_files[i]),
-                                 states, useq, dt=teacher.dt,
-                                 cost_model=cost)
-            per_run.append({"cost": float(total)})
-        metrics = {"mean_cost": float(np.mean([r["cost"] for r in per_run])),
-                   "per_run": per_run}
+        models, ck = _load_models(cfg, out_dir, "checkpoint_best.json",
+                                  inputs)
+        planner = _pi_planner(models, ck["hyper"])
 
-    report = {"version": 1, "environment": env,
-              "controller": sim["controller"], "metrics": metrics}
+    trajectories, metrics = env.simulate(planner, teacher, root, sim)
+    for name, (states, controls) in zip(run_files, trajectories):
+        write_trajectory_csv(os.path.join(out_dir, name), states, controls,
+                             dt=dt, cost_model=teacher.cost)
+    report = {"version": 1, "environment": env.name,
+              "controller": controller, "metrics": metrics}
     write_json(os.path.join(out_dir, "simulate_report.json"), report)
     write_resolved_config(out_dir, "simulate", cfg, inputs)
-    if env == "pendulum":
-        print(f"{runs} runs: success rate {metrics['success_rate']:.2f}, "
-              f"mean cost {_fmt(metrics['mean_cost'])} "
-              f"({metrics['excluded']} divergent)")
-    else:
-        print(f"{runs} runs: mean cost {_fmt(metrics['mean_cost'])}")
+    print(f"{runs} runs: " + _fmt_items(
+        {key: value for key, value in metrics.items() if key != "per_run"}))
     print(f"elapsed {time.time() - started:.1f} s")
 
 
@@ -966,7 +975,6 @@ def cmd_gradcheck(cfg, out_dir, force):
     refuse_existing(out_dir, ["gradcheck_report.json",
                               "resolved_config.gradcheck.json"], force)
     hp, _ = hyper_from_cfg(gc["hyper"])
-    hidden = int(gc["hidden"])
     frozen = tuple(gc["freeze"])
     root = RngStream(cfg["seed"]).child(STREAM_GRAD)
     started = time.time()
@@ -975,10 +983,7 @@ def cmd_gradcheck(cfg, out_dir, force):
     frozen_abs = {name: 0.0 for name in frozen}
     for i in range(int(gc["instances"])):
         inst = root.child(i)
-        models = ModelSet(
-            MLPDynamics(hidden=hidden, dt=0.1, init_rng=inst.child(0)),
-            MLPCost(hidden=hidden, outputs=hidden, init_rng=inst.child(1)),
-            ControlCostWeight(1))
+        models = init_pendulum_models(inst, int(gc["hidden"]), 0.1)
         models.weight.set_params(
             0.3 * inst.child(2).generator().standard_normal(1))
         x0 = inst.child(3).generator().normal(size=2)
@@ -1071,8 +1076,6 @@ def _grid_axis(lo, hi, cells):
     noise at the centre of a symmetric range.  The two-point interpolation
     form cancels exactly there and still pins both endpoints.
     """
-    if cells == 1:
-        return np.array([lo])
     idx = np.arange(cells, dtype=float)
     return (lo * (cells - 1 - idx) + hi * idx) / (cells - 1)
 
@@ -1088,12 +1091,8 @@ def cmd_export_costmap(cfg, out_dir, force):
     if cm["source"] == "teacher":
         cost = PendulumTeacherCost()
     else:
-        ck_path = cfg["paths"]["checkpoint"] or os.path.join(
-            out_dir, "checkpoint_best.json")
-        ck, inputs["checkpoint"] = load_checkpoint(ck_path)
-        _require(ck["environment"] == "pendulum",
-                 "cost maps need a pendulum checkpoint")
-        cost = models_from_json(ck["models"]).cost
+        cost = _load_models(cfg, out_dir, "checkpoint_best.json",
+                            inputs)[0].cost
 
     thetas = _grid_axis(float(cm["theta_range"][0]),
                         float(cm["theta_range"][1]), int(cm["theta_cells"]))
@@ -1104,7 +1103,7 @@ def cmd_export_costmap(cfg, out_dir, force):
     states = np.column_stack([grid_theta.ravel(), grid_dot.ravel()])
     values = cost.running(states)
 
-    with open(os.path.join(out_dir, "costmap.csv"), "w", newline="") as fh:
+    with atomic_open(os.path.join(out_dir, "costmap.csv"), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["theta", "theta_dot", "cost"])
         for row, value in zip(states, values):

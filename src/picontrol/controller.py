@@ -156,15 +156,6 @@ def _kernel_record(x0, useq, models: ModelSet, hp: PIHyperParams,
                         ctg, weights, output)
 
 
-def pi_kernel(x0, useq, models: ModelSet, hp: PIHyperParams,
-              rng: RngStream) -> np.ndarray:
-    """One full kernel iteration: noise, rollouts, cost-to-go, update."""
-    rec = _kernel_record(np.asarray(x0, dtype=float),
-                         np.asarray(useq, dtype=float), models, hp,
-                         models.weight.matrix(), rng)
-    return rec.output.copy()
-
-
 def pi_net_forward(x0, useq_init, models: ModelSet, hp: PIHyperParams,
                    rng: RngStream, record=False, recurrences=None):
     """Improve a control plan by repeated kernel iterations.

@@ -6,6 +6,8 @@ randomness flows through :class:`RngStream` so that results are
 reproducible bit-for-bit regardless of how rollouts are scheduled.
 """
 
+import contextlib
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,3 +212,23 @@ def unpack_params(pv: ParamVector, named_models) -> None:
             raise ShapeError(
                 f"segment {name!r} has length {length}, model expects {model.num_params}")
         model.set_params(pv.values[offset:offset + length])
+
+
+@contextlib.contextmanager
+def atomic_open(path, newline=None):
+    """Open a text file for writing that appears at path only when complete.
+
+    The block writes ``path + ".tmp"``, which replaces path once the block
+    finishes; if the block raises, the temporary file is removed and path
+    keeps its previous contents, so an interrupted write never leaves a
+    truncated artifact behind.
+    """
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .core import NumericError, RngStream
+from .core import NumericError, RngStream, atomic_open
 from .models import (MODEL_TYPES, ControlCostWeight, LinearDynamics,
                      PendulumTeacherCost, QuadraticCost)
 
@@ -360,7 +360,7 @@ def write_trajectory_csv(path, states, controls, dt, cost_model=None):
               + [f"u{j}" for j in range(m)] + ["cost"])
     running = cost_model.running(states[:-1]) if (cost_model and T) else None
     terminal = cost_model.terminal(states[-1:])[0] if cost_model else None
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in range(T):

@@ -14,7 +14,8 @@ import numpy as np
 
 from .controller import ModelSet, pi_net_backward, pi_net_forward
 from .core import (MemoryBudgetError, NumericError, ParamVector, ParameterError,
-                   PIHyperParams, RngStream, ShapeError, unpack_params)
+                   PIHyperParams, RngStream, ShapeError, atomic_open,
+                   unpack_params)
 from .envs import PENDULUM_EXPERT_HORIZON, sample_linear_teacher, wrap_angle
 from .experts import ILQRPlanner, ILQRSettings, LQRPlanner, LQRProblem
 from .models import ControlCostWeight, MLPCost, MLPDynamics, QuadraticCost
@@ -321,6 +322,15 @@ def check_memory_budget(hp, state_dim, control_dim,
             f"(budget {budget}); reduce K/N/U by ~{factor}x")
 
 
+def _start_and_demo(sample, regime):
+    """(start state, demonstrated controls) of a sample under a regime."""
+    if regime == "open_loop":
+        return sample.x0, sample.useq
+    if regime == "mpc":
+        return sample.x, sample.u
+    raise ParameterError(f"unknown regime {regime!r}")
+
+
 def sample_loss_and_grad(models: ModelSet, hp: PIHyperParams, sample, regime,
                          rng: RngStream, loss_weights, goals=None):
     """Loss components and parameter gradient for one training sample.
@@ -332,12 +342,7 @@ def sample_loss_and_grad(models: ModelSet, hp: PIHyperParams, sample, regime,
         (metrics dict with 'ctrl' and 'cost' losses, ParamVector gradient
         of the weighted total).
     """
-    if regime == "open_loop":
-        x0, demo = sample.x0, sample.useq
-    elif regime == "mpc":
-        x0, demo = sample.x, sample.u
-    else:
-        raise ParameterError(f"unknown regime {regime!r}")
+    x0, demo = _start_and_demo(sample, regime)
     out, tape = pi_net_forward(x0, None, models, hp, rng, record=True)
     w_ctrl = loss_weights.get("ctrl", 1.0)
     w_cost = loss_weights.get("cost", 0.0)
@@ -379,8 +384,7 @@ def evaluate_losses(models, hp, samples, regime, rng, loss_weights, goals=None):
 
 def sample_losses(models, hp, sample, regime, rng, loss_weights, goals=None):
     """Loss components for one sample without gradients."""
-    x0, demo = ((sample.x0, sample.useq) if regime == "open_loop"
-                else (sample.x, sample.u))
+    x0, demo = _start_and_demo(sample, regime)
     out, _ = pi_net_forward(x0, None, models, hp, rng)
     metrics = {"ctrl": loss_ctrl(out, demo), "cost": 0.0}
     if loss_weights.get("cost", 0.0) != 0.0 and goals is not None:
@@ -436,8 +440,7 @@ def train_pinet(models: ModelSet, hp: PIHyperParams, train_set, test_set,
                              f"{type(train_set[0]).__name__}")
     loss_weights = {"ctrl": 1.0, "cost": 0.0, **(loss_weights or {})}
     rng = rng or RngStream(0)
-    sample0 = train_set[0]
-    x0 = sample0.x0 if regime == "open_loop" else sample0.x
+    x0, _ = _start_and_demo(train_set[0], regime)
     check_memory_budget(hp, x0.size, models.weight.dim, memory_budget)
     layout = models.pack().layout
     mask = _freeze_mask(layout, freeze)
@@ -505,7 +508,7 @@ def write_history_csv(path, history):
     if not history:
         raise ParameterError("history is empty")
     fields = list(history[0].keys())
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)
         for row in history:

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from picontrol.cli import main as cli_main
-from picontrol.controller import (ModelSet, PathIntegralPlanner, pi_kernel,
+from picontrol.controller import (ModelSet, PathIntegralPlanner,
                                   pi_net_backward, pi_net_forward,
                                   update_controls)
 from picontrol.core import (ParamVector, PIHyperParams, RngStream,

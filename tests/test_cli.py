@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from picontrol.cli import default_config, hyper_from_cfg, main
+from picontrol.cli import default_config, hyper_from_cfg, load_config, main
 from picontrol.controller import pi_net_backward
 from picontrol.core import RngStream
 from picontrol.envs import sample_linear_teacher
@@ -75,6 +75,17 @@ def pendulum_dataset(tmp_path_factory):
 def linear_run(linear_dataset, tmp_path_factory):
     root = tmp_path_factory.mktemp("lin_tr")
     tree = dict(LINEAR_TINY, paths={"dataset": str(linear_dataset)})
+    cfg = write_cfg(root / "cfg.json", tree)
+    out = root / "run"
+    assert run_cli("train", "--config", cfg, "--out", out, "--seed", "7") == 0
+    return out, tree
+
+
+@pytest.fixture(scope="module")
+def pendulum_run(pendulum_dataset, tmp_path_factory):
+    root = tmp_path_factory.mktemp("pen_tr")
+    tree = dict(json.loads(json.dumps(PENDULUM_TINY)),
+                paths={"dataset": str(pendulum_dataset)})
     cfg = write_cfg(root / "cfg.json", tree)
     out = root / "run"
     assert run_cli("train", "--config", cfg, "--out", out, "--seed", "7") == 0
@@ -154,6 +165,33 @@ def test_train_resume_matches_straight_run(linear_dataset, tmp_path):
     assert dir_bytes(a)["checkpoint_last.json"] == dir_bytes(b)["checkpoint_last.json"]
 
 
+def test_pendulum_resume_skips_pretraining_and_matches_straight_run(
+        pendulum_dataset, tmp_path):
+    tree = dict(json.loads(json.dumps(PENDULUM_TINY)),
+                paths={"dataset": str(pendulum_dataset)})
+    tree["training"]["epochs"] = 2
+    one = json.loads(json.dumps(tree))
+    one["training"]["epochs"] = 1
+    resumed = json.loads(json.dumps(tree))
+    resumed["training"]["resume"] = True
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli("train", "--config", write_cfg(tmp_path / "c1.json", one),
+                   "--out", a, "--seed", "7") == 0
+    pretrained = dir_bytes(a)["pretrain_history.csv"]
+    assert run_cli("train", "--config",
+                   write_cfg(tmp_path / "c2.json", resumed),
+                   "--out", a, "--seed", "7", "--force") == 0
+    assert run_cli("train", "--config", write_cfg(tmp_path / "c3.json", tree),
+                   "--out", b, "--seed", "7") == 0
+    # the resumed checkpoint already holds the pretrained dynamics
+    assert dir_bytes(a)["pretrain_history.csv"] == pretrained
+    report = json.loads((a / "train_report.json").read_text())
+    assert report["pretrain_final"] is None
+    assert (report["epochs_run"], report["final_epoch"]) == (1, 2)
+    assert (dir_bytes(a)["checkpoint_last.json"]
+            == dir_bytes(b)["checkpoint_last.json"])
+
+
 def test_train_memory_budget_refusal_exits_3(linear_dataset, tmp_path):
     tree = json.loads(json.dumps(LINEAR_TINY))
     tree["paths"] = {"dataset": str(linear_dataset)}
@@ -210,6 +248,21 @@ def test_eval_round_trips_manifest_metrics(pendulum_dataset, tmp_path):
     manifest = json.load(open(pendulum_dataset / "manifest.json"))
     for key in ("success_rate", "mean_cost"):
         assert report["closed_loop"][key] == manifest["expert_metrics"][key]
+
+
+def test_linear_expert_eval_round_trips_manifest_demo_cost(linear_dataset,
+                                                           tmp_path):
+    # the expert's demonstrations, scored on the manifest's teacher
+    tree = dict(LINEAR_TINY, paths={"dataset": str(linear_dataset),
+                                    "checkpoint": "expert"})
+    cfg = write_cfg(tmp_path / "cfg.json", tree)
+    out = tmp_path / "ev"
+    assert run_cli("eval", "--config", cfg, "--out", out, "--seed", "7") == 0
+    report = json.loads((out / "eval_report.json").read_text())
+    manifest = json.loads((linear_dataset / "manifest.json").read_text())
+    assert report["checkpoint"] == "expert"
+    assert report["demo_cost"] == manifest["expert_metrics"]
+    assert report["mse"] is None and report["closed_loop"] is None
 
 
 def test_eval_reports_mse_for_checkpoint(linear_run, linear_dataset, tmp_path,
@@ -316,6 +369,92 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
     assert dir_bytes(a) == dir_bytes(b)
 
 
+SIMULATE_CASES = [("linear", "expert"), ("linear", "pi_teacher"),
+                  ("linear", "checkpoint"), ("pendulum", "expert"),
+                  ("pendulum", "checkpoint")]
+
+
+@pytest.mark.parametrize("env,controller", SIMULATE_CASES)
+def test_simulate_controllers_write_trajectories(env, controller, request,
+                                                  tmp_path):
+    run_dir, tree = request.getfixturevalue(f"{env}_run")
+    tree = json.loads(json.dumps(tree))
+    tree["paths"]["checkpoint"] = str(run_dir / "checkpoint_best.json")
+    tree["simulate"] = {"runs": 2, "controller": controller,
+                        **({"horizon": 12} if env == "linear"
+                           else {"duration": 1.0})}
+    cfg = write_cfg(tmp_path / "cfg.json", tree)
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--config", cfg, "--out", out, "--seed", "5") == 0
+    report = json.loads((out / "simulate_report.json").read_text())
+    assert report["controller"] == controller
+    assert len(report["metrics"]["per_run"]) == 2
+    # linear plans 12 steps of 0.01 s, the pendulum runs 10 steps of 0.1 s
+    steps, dt = (12, 0.01) if env == "linear" else (10, 0.1)
+    for name in ("run_000.csv", "run_001.csv"):
+        with open(out / name) as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + steps + 1
+        assert float(rows[-1][0]) == pytest.approx(steps * dt)
+    # linear runs are scored on the dataset's system, so they read it
+    resolved = json.loads(
+        (out / "resolved_config.simulate.json").read_text())
+    expected = set()
+    if env == "linear":
+        expected.add("dataset_manifest")
+    if controller == "checkpoint":
+        expected.add("checkpoint")
+    assert set(resolved["inputs"]) == expected
+
+
+def test_linear_simulate_scores_on_the_dataset_teacher(linear_dataset,
+                                                      tmp_path):
+    # a checkpoint holding the dataset's teacher models must plan and score
+    # exactly as the teacher-model planner does
+    tree = dict(json.loads(json.dumps(LINEAR_TINY)),
+                paths={"dataset": str(linear_dataset)})
+    tree["simulate"] = {"runs": 2, "horizon": 12}
+    cfg = load_config(write_cfg(tmp_path / "base.json", tree), "desk", 5)
+    manifest = json.loads((linear_dataset / "manifest.json").read_text())
+    ck = tmp_path / "teacher_checkpoint.json"
+    ck.write_text(json.dumps({"version": 1, "environment": "linear",
+                              "epoch": 0, "hyper": cfg["hyper"],
+                              "models": manifest["teacher"]["models"]}))
+    tree["paths"]["checkpoint"] = str(ck)
+    outs = {}
+    for controller in ("pi_teacher", "checkpoint"):
+        tree["simulate"]["controller"] = controller
+        path = write_cfg(tmp_path / f"{controller}.json", tree)
+        outs[controller] = tmp_path / controller
+        assert run_cli("simulate", "--config", path, "--out", outs[controller],
+                       "--seed", "5") == 0
+    for name in ("run_000.csv", "run_001.csv"):
+        assert ((outs["pi_teacher"] / name).read_bytes()
+                == (outs["checkpoint"] / name).read_bytes())
+
+
+def test_interrupted_write_keeps_the_previous_checkpoint(linear_run, tmp_path,
+                                                         monkeypatch):
+    from picontrol import cli
+    out, _ = linear_run
+    path = tmp_path / "checkpoint_last.json"
+    before = (out / "checkpoint_last.json").read_bytes()
+    path.write_bytes(before)
+    ck = json.loads(before)
+
+    def torn_dump(tree, fh, **kwargs):
+        fh.write(json.dumps(tree)[:40])
+        raise OSError("interrupted")
+
+    monkeypatch.setattr("picontrol.cli.json.dump", torn_dump)
+    with pytest.raises(OSError):
+        cli.write_checkpoint(str(path), cli.models_from_json(ck["models"]),
+                             ck["hyper"], "linear", ck["epoch"] + 1,
+                             cli.optimizer_from_json(ck["optimizer"]))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["checkpoint_last.json"]
+
+
 # --------------------------------------------------------------- gradcheck
 
 
@@ -374,6 +513,30 @@ def test_costmap_grid_shape_and_exact_zeros(tmp_path):
     assert len(rows) == 1 + 101 * 101
     zeros = [(float(r[0]), float(r[1])) for r in rows[1:] if float(r[2]) == 0.0]
     assert sorted(zeros) == [(-np.pi, 0.0), (np.pi, 0.0)]
+
+
+def test_costmap_from_checkpoint_evaluates_its_cost_model(pendulum_run,
+                                                          tmp_path):
+    from picontrol.cli import models_from_json
+    run_dir, _ = pendulum_run
+    ck_path = run_dir / "checkpoint_best.json"
+    cfg = write_cfg(tmp_path / "cfg.json", {
+        "paths": {"checkpoint": str(ck_path)},
+        "costmap": {"source": "checkpoint", "theta_cells": 5,
+                    "theta_dot_cells": 3}})
+    out = tmp_path / "cm"
+    assert run_cli("export-costmap", "--config", cfg, "--out", out,
+                   "--seed", "0") == 0
+    with open(out / "costmap.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 5 * 3
+    states = np.array([[float(r[0]), float(r[1])] for r in rows])
+    cost = models_from_json(json.loads(ck_path.read_text())["models"]).cost
+    assert [float(r[2]) for r in rows] == cost.running(states).tolist()
+    resolved = json.loads(
+        (out / "resolved_config.export-costmap.json").read_text())
+    assert resolved["inputs"] == {
+        "checkpoint": hashlib.sha256(ck_path.read_bytes()).hexdigest()}
 
 
 def test_costmap_requires_pendulum(tmp_path):

@@ -3,11 +3,11 @@ import pytest
 
 from picontrol.controller import (ModelSet, PathIntegralPlanner, RolloutCosts,
                                   _softmax_weights, cost_to_go,
-                                  monte_carlo_rollout, pi_kernel,
-                                  pi_net_backward, pi_net_forward,
-                                  update_controls)
+                                  monte_carlo_rollout, pi_net_backward,
+                                  pi_net_forward, update_controls)
 from picontrol.core import (ConsistencyError, NumericError, ParamVector,
-                            PIHyperParams, RngStream, unpack_params)
+                            PIHyperParams, RngStream, gaussian_noise,
+                            unpack_params)
 from picontrol.envs import pendulum_teacher_models, sample_linear_teacher
 from picontrol.models import (ControlCostWeight, LinearDynamics, MLPCost,
                               MLPDynamics, QuadraticCost, control_penalty)
@@ -243,8 +243,8 @@ def test_kernel_is_deterministic():
     rng = RngStream(47)
     x0 = np.array([0.5, -0.1])
     useq = np.full((hp.horizon, 1), 0.2)
-    first = pi_kernel(x0, useq, models, hp, rng)
-    second = pi_kernel(x0, useq, models, hp, rng)
+    first, _ = pi_net_forward(x0, useq, models, hp, rng, recurrences=1)
+    second, _ = pi_net_forward(x0, useq, models, hp, rng, recurrences=1)
     assert np.array_equal(first, second)
     assert first.shape == (hp.horizon, 1)
 
@@ -254,8 +254,8 @@ def test_kernel_output_stays_near_plan_when_noise_is_tiny():
     hp = PIHyperParams(lambda_=0.5, nu=1500.0, sigma=1e-3,
                        num_samples=8, horizon=4, recurrences=1)
     useq = np.full((4, 1), 0.3)
-    out = pi_kernel(np.array([0.1, 0.0]), useq, models, hp,
-                    RngStream(59))
+    out, _ = pi_net_forward(np.array([0.1, 0.0]), useq, models, hp,
+                            RngStream(59), recurrences=1)
     assert np.max(np.abs(out - useq)) < 0.01
 
 
@@ -270,7 +270,8 @@ def test_kernel_improves_the_expected_cost():
                        num_samples=256, horizon=10, recurrences=1)
     x0 = np.array([3.0])
     useq = np.zeros((10, 1))
-    out = pi_kernel(x0, useq, models, hp, RngStream(61))
+    out, _ = pi_net_forward(x0, useq, models, hp, RngStream(61),
+                            recurrences=1)
 
     def step(x, v):
         return np.array([F * x[0] + G * v[0]])
@@ -299,7 +300,13 @@ def test_single_recurrence_equals_kernel():
     rng = RngStream(73)
     x0 = np.array([0.4, 0.2])
     out, _ = pi_net_forward(x0, None, models, hp, rng)
-    direct = pi_kernel(x0, np.zeros((3, 1)), models, hp, rng.child(0))
+    # the kernel's stages composed by hand: noise, rollout, cost-to-go, update
+    useq = np.zeros((3, 1))
+    noise = gaussian_noise(rng.child(0), hp.num_samples, hp.horizon, 1,
+                           hp.sigma)
+    _, costs = monte_carlo_rollout(x0, useq, noise, models.dynamics,
+                                   models.cost, models.weight.matrix(), hp.nu)
+    direct = update_controls(useq, noise, cost_to_go(costs), hp.lambda_)
     assert np.array_equal(out, direct)
 
 

@@ -389,6 +389,15 @@ def test_unknown_regime_raises():
                              RngStream(0), {"ctrl": 1.0})
 
 
+def test_sample_losses_rejects_unknown_regime():
+    # the gradient-free path unpacks samples exactly as the training path
+    models = tiny_neural_models(1)
+    sample = OpenLoopSample(np.zeros(2), np.zeros((TINY_HP.horizon, 1)))
+    with pytest.raises(ParameterError):
+        sample_losses(models, TINY_HP, sample, "closed_loop", RngStream(0),
+                      {"ctrl": 1.0})
+
+
 def test_evaluation_is_order_independent():
     models = tiny_neural_models(14)
     gen = RngStream(15).generator()
