@@ -46,7 +46,9 @@ MANIFEST_VERSION = 1
 SEGMENTS = ("dynamics", "cost", "control_weight")
 
 # Sub-stream ids under the command seed; commands never share streams.
-STREAM_DATA, STREAM_TRAIN, STREAM_EVAL, STREAM_SIM, STREAM_GRAD = range(5)
+# Id 2 is retired (eval draws from STREAM_DATA); the others keep their
+# values so every stream key, and every artifact, stays the same.
+STREAM_DATA, STREAM_TRAIN, STREAM_SIM, STREAM_GRAD = 0, 1, 3, 4
 
 
 # ------------------------------------------------------------- configuration
@@ -618,6 +620,10 @@ class PendulumEnvironment:
         }
 
     def generate(self, cfg, root):
+        protocol = cfg["evaluation"]
+        _require(protocol is not None,
+                 "evaluation must give runs and duration for the pendulum: "
+                 "gen-data scores its expert under that protocol")
         ds = cfg["dataset"]
         horizon = int(ds["expert_horizon"])
         train, test, excluded = build_pendulum_dataset(
@@ -626,7 +632,6 @@ class PendulumEnvironment:
         teacher = ModelSet(*pendulum_teacher_models())
         # closed_loop's stream, so an expert evaluation of this dataset
         # reproduces the manifest's expert metrics
-        protocol = cfg["evaluation"]
         _, runs = self.simulate(self.expert(teacher, horizon), teacher,
                                 root.child(2), protocol)
         metrics = {key: runs[key] for key in ("success_rate", "mean_cost")}

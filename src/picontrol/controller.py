@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ConsistencyError, NumericError, ParamVector, PIHyperParams,
-                   RngStream, gaussian_noise, pack_params)
+from .core import (ConsistencyError, NumericError, ParameterError,
+                   ParamVector, PIHyperParams, RngStream, ShapeError,
+                   gaussian_noise, pack_params)
 from .models import control_penalty
 
 
@@ -41,13 +42,17 @@ class ModelSet:
 
 @dataclass
 class RolloutCosts:
-    running: np.ndarray  # (K, N)
-    terminal: np.ndarray  # (K,)
+    running: np.ndarray  # (..., K, N)
+    terminal: np.ndarray  # (..., K)
 
 
 @dataclass
 class KernelRecord:
-    """Everything one kernel iteration computed, kept for the reverse pass."""
+    """Everything one kernel iteration computed, kept for the reverse pass.
+
+    A batched iteration (see pi_net_forward) adds a leading sample axis to
+    every field; recorded iterations are always single-sample.
+    """
 
     useq: np.ndarray        # (N, m) input plan
     noise: np.ndarray       # (K, N, m)
@@ -70,58 +75,93 @@ class RolloutTape:
     records: list = field(default_factory=list)
 
 
+def _trajectory(index):
+    """Name the trajectory at a (sample, ..., k) index for error messages."""
+    *sample, k = (int(i) for i in index)
+    where = f"trajectory {k}"
+    if sample:
+        where += f" of sample {', '.join(map(str, sample))}"
+    return where
+
+
 def monte_carlo_rollout(x0, useq, noise, dynamics, cost, weight_matrix, nu):
     """Roll out K perturbed plans and collect modified running costs.
 
+    Every array may carry the same leading sample axes (written ... below);
+    each sample's rollout performs the arithmetic a separate call on it
+    would, so its results do not depend on the batch around it.
+
     Args:
-        x0: (n,) initial state shared by all trajectories.
-        useq: (N, m) nominal plan.
-        noise: (K, N, m) perturbations; trajectory k applies useq + noise[k].
-        dynamics: model with batched forward.
-        cost: state-cost model (running / terminal).
+        x0: (..., n) initial state shared by a sample's K trajectories.
+        useq: (..., N, m) nominal plan.
+        noise: (..., K, N, m) perturbations; trajectory k applies
+            useq + noise[..., k, :, :].
+        dynamics: model with batched forward over leading axes.
+        cost: state-cost model (running / terminal) over (B, n) rows.
         weight_matrix: (m, m) control weight R.
         nu: noise-quadratic coefficient knob.
 
     Returns:
-        (states, RolloutCosts): states is (K, N+1, n);
-        running[k, i] = q(x_i^k) + control penalty(u_i, du_i^k).
+        (states, RolloutCosts): states is (..., K, N+1, n);
+        running[..., k, i] = q(x_i^k) + control penalty(u_i, du_i^k).
 
     Raises:
         NumericError: a trajectory left the finite range (diverging rollout).
     """
     noise = np.asarray(noise, dtype=float)
-    K, N, m = noise.shape
+    N = noise.shape[-2]
     x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    v = np.asarray(useq, dtype=float)[None, :, :] + noise
-    states = np.empty((K, N + 1, n))
-    states[:, 0] = x0
-    x = states[:, 0]
+    useq = np.asarray(useq, dtype=float)
+    n = x0.shape[-1]
+    v = useq[..., None, :, :] + noise
+    states = np.empty(noise.shape[:-2] + (N + 1, n))
+    states[..., 0, :] = x0[..., None, :]
+    x = states[..., 0, :]
     for i in range(N):
-        x = dynamics.forward(x, v[:, i])
-        states[:, i + 1] = x
+        x = dynamics.forward(x, v[..., i, :])
+        states[..., i + 1, :] = x
     if not np.all(np.isfinite(states)):
-        bad = int(np.argwhere(~np.isfinite(states).all(axis=(1, 2)))[0, 0])
-        raise NumericError(f"rollout diverged on trajectory {bad}")
-    # state costs of all K*N rollout states in one call
-    state_cost = cost.running(states[:, :N].reshape(K * N, n)).reshape(K, N)
-    running = state_cost + control_penalty(useq, noise, weight_matrix, nu)
-    terminal = np.asarray(cost.terminal(states[:, N]), dtype=float)
+        bad = np.argwhere(~np.isfinite(states).all(axis=(-2, -1)))[0]
+        raise NumericError(f"rollout diverged on {_trajectory(bad)}")
+    running, terminal = _rollout_costs(states, useq, noise, cost,
+                                       weight_matrix, nu)
     if not (np.all(np.isfinite(running)) and np.all(np.isfinite(terminal))):
-        bad = int(np.argwhere(~(np.isfinite(running).all(axis=1)
-                                & np.isfinite(terminal)))[0, 0])
-        raise NumericError(f"non-finite cost on trajectory {bad}")
+        bad = np.argwhere(~(np.isfinite(running).all(axis=-1)
+                            & np.isfinite(terminal)))[0]
+        raise NumericError(f"non-finite cost on {_trajectory(bad)}")
     return states, RolloutCosts(running, terminal)
 
 
+def _rollout_costs(states, useq, noise, cost, weight_matrix, nu):
+    """(running, terminal) costs of one sample's rollout, or of each sample
+    of a batch.
+
+    A sample's state costs over its K*N rollout states are one call, and
+    so is its control penalty: over a batch, 3-operand einsum may sum in
+    another order.
+    """
+    if noise.ndim > 3:
+        parts = [_rollout_costs(*sample, cost, weight_matrix, nu)
+                 for sample in zip(states, useq, noise)]
+        return (np.stack([running for running, _ in parts]),
+                np.stack([terminal for _, terminal in parts]))
+    K, N, _ = noise.shape
+    n = states.shape[-1]
+    state_cost = cost.running(states[:, :N].reshape(K * N, n)).reshape(K, N)
+    running = state_cost + control_penalty(useq, noise, weight_matrix, nu)
+    terminal = np.asarray(cost.terminal(states[:, N]), dtype=float)
+    return running, terminal
+
+
 def cost_to_go(costs: RolloutCosts) -> np.ndarray:
-    """Suffix sums S[k, i] = sum_{j >= i} running[k, j] + terminal[k].
+    """Suffix sums S[..., k, i] = sum_{j >= i} running[..., k, j] + terminal[..., k].
 
     Accumulated as a single reversed running sum so that
     S[k, i] == S[k, i+1] + running[k, i] holds bit-for-bit.
     """
-    stacked = np.concatenate([costs.terminal[:, None], costs.running[:, ::-1]], axis=1)
-    return np.cumsum(stacked, axis=1)[:, ::-1]
+    stacked = np.concatenate([costs.terminal[..., None],
+                              costs.running[..., ::-1]], axis=-1)
+    return np.cumsum(stacked, axis=-1)[..., ::-1]
 
 
 def _softmax_weights(ctg, lambda_):
@@ -131,62 +171,89 @@ def _softmax_weights(ctg, lambda_):
     weights are invariant to that shift, so this is exact, and the
     maximum weight is always 1 (no all-zero columns possible).
     """
-    S = ctg[:, :-1]
-    z = -(S - S.min(axis=0, keepdims=True)) / lambda_
+    S = ctg[..., :-1]
+    z = -(S - S.min(axis=-2, keepdims=True)) / lambda_
     w = np.exp(z)
-    return w / w.sum(axis=0, keepdims=True)
+    return w / w.sum(axis=-2, keepdims=True)
+
+
+def _weighted_update(useq, weights, noise):
+    """The plan plus the weight-averaged perturbation at each timestep."""
+    return useq + np.einsum("...ki,...kim->...im", weights, noise)
 
 
 def update_controls(useq, noise, ctg, lambda_):
     """Exponentially cost-weighted perturbation average, per timestep."""
     w = _softmax_weights(np.asarray(ctg, dtype=float), lambda_)
-    return np.asarray(useq, dtype=float) + np.einsum("ki,kim->im", w, noise)
+    return _weighted_update(np.asarray(useq, dtype=float), w, noise)
 
 
-def _kernel_record(x0, useq, models: ModelSet, hp: PIHyperParams,
-                   weight_matrix, rng: RngStream) -> KernelRecord:
-    m = weight_matrix.shape[0]
-    noise = gaussian_noise(rng, hp.num_samples, hp.horizon, m, hp.sigma)
+def _kernel_record(x0, useq, noise, models: ModelSet, hp: PIHyperParams,
+                   weight_matrix) -> KernelRecord:
     states, costs = monte_carlo_rollout(x0, useq, noise, models.dynamics,
                                         models.cost, weight_matrix, hp.nu)
     ctg = cost_to_go(costs)
     weights = _softmax_weights(ctg, hp.lambda_)
-    output = useq + np.einsum("ki,kim->im", weights, noise)
+    output = _weighted_update(useq, weights, noise)
     return KernelRecord(useq, noise, states, costs.running, costs.terminal,
                         ctg, weights, output)
 
 
 def pi_net_forward(x0, useq_init, models: ModelSet, hp: PIHyperParams,
-                   rng: RngStream, record=False, recurrences=None):
+                   rng, record=False, recurrences=None):
     """Improve a control plan by repeated kernel iterations.
 
+    A batch of B start states is planned in one pass: each iteration rolls
+    out all B*K trajectories together, and sample b draws its noise from
+    rng[b], so every sample's plan is bitwise the plan a separate call on
+    it would return, whatever the batch.
+
     Args:
-        x0: (n,) current state.
-        useq_init: (N, m) starting plan; None means zeros.
+        x0: (n,) current state, or (B, n) for a batch.
+        useq_init: (N, m) starting plan, or (B, N, m) for a batch; None
+            means zeros.
         models: dynamics / cost / control-weight bundle.
         hp: hyper-parameters; hp.recurrences used unless overridden.
-        rng: stream; iteration t draws noise from rng.child(t).
-        record: keep a tape for the reverse pass (off for control-time use).
+        rng: stream, or a sequence of B streams for a batch; iteration t
+            draws noise from rng.child(t) (sample b: rng[b].child(t)).
+        record: keep a tape for the reverse pass (off for control-time
+            use); single-sample only.
         recurrences: optional override of the iteration count (warm starts).
 
     Returns:
-        (useq, tape): the improved (N, m) plan, and the RolloutTape when
-        record=True else None.
+        (useq, tape): the improved (N, m) plan, or (B, N, m) plans, and the
+        RolloutTape when record=True else None.
+
+    Raises:
+        ParameterError: record=True with a batch.
+        ShapeError: the batch and its streams differ in size.
     """
     x0 = np.asarray(x0, dtype=float)
+    batch = x0.shape[:-1]
+    if batch:
+        if x0.ndim != 2 or len(rng) != batch[0]:
+            raise ShapeError(f"a batch of start states {x0.shape} needs "
+                             f"one stream per state, got {len(rng)}")
+        if record:
+            raise ParameterError("a recorded forward plans one sample; "
+                                 f"got a batch of {batch[0]}")
     weight_matrix = models.weight.matrix()
     m = weight_matrix.shape[0]
     if useq_init is None:
-        useq = np.zeros((hp.horizon, m))
+        useq = np.zeros(batch + (hp.horizon, m))
     else:
         useq = np.array(useq_init, dtype=float)
+    streams = rng if batch else (rng,)
     count = hp.recurrences if recurrences is None else int(recurrences)
     tape = None
     if record:
         snapshot = models.pack()
         tape = RolloutTape(x0.copy(), hp, snapshot.layout, snapshot.values)
     for t in range(count):
-        rec = _kernel_record(x0, useq, models, hp, weight_matrix, rng.child(t))
+        noises = [gaussian_noise(stream.child(t), hp.num_samples, hp.horizon,
+                                 m, hp.sigma) for stream in streams]
+        noise = np.stack(noises) if batch else noises[0]
+        rec = _kernel_record(x0, useq, noise, models, hp, weight_matrix)
         useq = rec.output
         if record:
             tape.records.append(rec)

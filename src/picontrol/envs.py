@@ -60,7 +60,8 @@ class PendulumDynamics:
         return J
 
     def forward(self, x, v):
-        """One RK4 step of the batch, stepped per state component.
+        """One RK4 step of the batch (any leading axes), stepped per state
+        component.
 
         Bitwise contract: the result equals the literal RK4 step on
         (B, 2) stage arrays, x + (h/6)(k1 + 2 k2 + 2 k3 + k4) with
@@ -71,8 +72,8 @@ class PendulumDynamics:
         """
         h = self.dt
         a = 0.5 * h
-        th, om = x[:, 0], x[:, 1]
-        gu = self.gain * v[:, 0]
+        th, om = x[..., 0], x[..., 1]
+        gu = self.gain * v[..., 0]
         f1 = gu - np.sin(th)
         om2 = om + a * f1
         f2 = gu - np.sin(th + a * om)
@@ -81,9 +82,9 @@ class PendulumDynamics:
         om4 = om + h * f3
         f4 = gu - np.sin(th + h * om3)
         c = h / 6.0
-        out = np.empty((x.shape[0], 2))
-        out[:, 0] = th + c * (om + 2.0 * om2 + 2.0 * om3 + om4)
-        out[:, 1] = om + c * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+        out = np.empty(x.shape)
+        out[..., 0] = th + c * (om + 2.0 * om2 + 2.0 * om3 + om4)
+        out[..., 1] = om + c * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
         return out
 
     def jacobian(self, x, v):

@@ -10,7 +10,10 @@ Model contract (duck-typed, shared by everything in this module):
   matching ``running_vjp`` / ``terminal_vjp(x, cot) -> (x_bar, param_bar)``.
 
 All evaluations are batched: states (B, n), controls (B, m), scalar costs
-(B,).  Cotangents have the output's shape; ``param_bar`` is summed over
+(B,).  Dynamics ``forward`` also takes any leading axes, (..., n) and
+(..., m); a stack of (K, n) blocks gives each block the bits a separate
+call on it would, because stacked matrix products multiply block by
+block.  Cotangents have the output's shape; ``param_bar`` is summed over
 the batch.  VJPs rebuild layer activations from their (taped) inputs,
 which is bit-exact because the inputs are the same floats.
 """
@@ -180,15 +183,15 @@ class MLPDynamics:
         self.b2 = vec[5 * h:5 * h + 1].copy()
 
     def _accel(self, x, v):
-        z = np.concatenate([x, v], axis=1)
+        z = np.concatenate([x, v], axis=-1)
         h = np.tanh(z @ self.W1.T + self.b1)
-        return z, h, (h @ self.W2.T + self.b2)[:, 0]
+        return z, h, (h @ self.W2.T + self.b2)[..., 0]
 
     def forward(self, x, v):
         _, _, accel = self._accel(x, v)
         out = np.empty_like(x)
-        out[:, 0] = x[:, 0] + self.dt * x[:, 1]
-        out[:, 1] = x[:, 1] + self.dt * accel
+        out[..., 0] = x[..., 0] + self.dt * x[..., 1]
+        out[..., 1] = x[..., 1] + self.dt * accel
         return out
 
     def vjp(self, x, v, cot):

@@ -367,13 +367,21 @@ def evaluate_losses(models, hp, samples, regime, rng, loss_weights, goals=None):
 
     Each sample's planner noise is keyed by its dataset index, so the
     result depends only on (models, dataset), never on how a caller
-    batched or ordered the pass.
+    batched or ordered the pass.  The planner runs on chunks of at most
+    hp.recurrences samples: one batched iteration over that many samples
+    holds about what one sample's recorded tape (hp.recurrences
+    iterations) holds, which check_memory_budget already bounds.
     """
     if not samples:
         return {"ctrl": None, "cost": None, "total": None}
-    per_sample = [sample_losses(models, hp, sample, regime, rng.child(idx),
-                                loss_weights, goals)
-                  for idx, sample in enumerate(samples)]
+    chunk = hp.recurrences
+    per_sample = []
+    for lo in range(0, len(samples), chunk):
+        part = samples[lo:lo + chunk]
+        per_sample += _plan_losses(
+            models, hp, part, regime,
+            [rng.child(idx) for idx in range(lo, lo + len(part))],
+            loss_weights, goals)
     count = len(samples)
     ctrl = sum(m["ctrl"] for m in per_sample) / count
     cost = sum(m["cost"] for m in per_sample) / count
@@ -384,12 +392,20 @@ def evaluate_losses(models, hp, samples, regime, rng, loss_weights, goals=None):
 
 def sample_losses(models, hp, sample, regime, rng, loss_weights, goals=None):
     """Loss components for one sample without gradients."""
-    x0, demo = _start_and_demo(sample, regime)
-    out, _ = pi_net_forward(x0, None, models, hp, rng)
-    metrics = {"ctrl": loss_ctrl(out, demo), "cost": 0.0}
-    if loss_weights.get("cost", 0.0) != 0.0 and goals is not None:
-        metrics["cost"] = loss_cost(models.cost, goals, x0[None, :])
-    return metrics
+    return _plan_losses(models, hp, [sample], regime, [rng], loss_weights,
+                        goals)[0]
+
+
+def _plan_losses(models, hp, samples, regime, streams, loss_weights, goals):
+    """Loss components of each sample, planned together as one batch;
+    sample i draws its planner noise from streams[i]."""
+    starts, demos = zip(*(_start_and_demo(s, regime) for s in samples))
+    plans, _ = pi_net_forward(np.stack(starts), None, models, hp, streams)
+    with_cost = loss_weights.get("cost", 0.0) != 0.0 and goals is not None
+    return [{"ctrl": loss_ctrl(plan, demo),
+             "cost": (loss_cost(models.cost, goals, x0[None, :])
+                      if with_cost else 0.0)}
+            for x0, demo, plan in zip(starts, demos, plans)]
 
 
 def _freeze_mask(layout, freeze):

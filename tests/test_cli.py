@@ -131,6 +131,18 @@ def test_refuses_overwrite_without_force(tmp_path):
                    "--force") == 0
 
 
+def test_pendulum_gen_data_without_evaluation_exits_1(tmp_path, capsys):
+    # the pendulum scores its expert under the evaluation protocol, so a
+    # null protocol is an input error; the linear default of null works
+    cfg = write_cfg(tmp_path / "cfg.json", dict(PENDULUM_TINY, evaluation=None))
+    assert run_cli("gen-data", "--config", cfg, "--out", tmp_path / "p",
+                   "--seed", "3") == 1
+    assert "evaluation" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path / "lin.json", dict(LINEAR_TINY, evaluation=None))
+    assert run_cli("gen-data", "--config", cfg, "--out", tmp_path / "l",
+                   "--seed", "3") == 0
+
+
 # ------------------------------------------------------------------- train
 
 

@@ -5,12 +5,13 @@ from picontrol.controller import (ModelSet, PathIntegralPlanner, RolloutCosts,
                                   _softmax_weights, cost_to_go,
                                   monte_carlo_rollout, pi_net_backward,
                                   pi_net_forward, update_controls)
-from picontrol.core import (ConsistencyError, NumericError, ParamVector,
-                            PIHyperParams, RngStream, gaussian_noise,
-                            unpack_params)
+from picontrol.core import (ConsistencyError, NumericError, ParameterError,
+                            ParamVector, PIHyperParams, RngStream, ShapeError,
+                            gaussian_noise, unpack_params)
 from picontrol.envs import pendulum_teacher_models, sample_linear_teacher
 from picontrol.models import (ControlCostWeight, LinearDynamics, MLPCost,
                               MLPDynamics, QuadraticCost, control_penalty)
+from picontrol.training import MPCSample, evaluate_losses, sample_losses
 
 import oracles
 
@@ -396,6 +397,83 @@ def test_stale_tape_is_rejected():
     models.dynamics.set_params(params)
     with pytest.raises(ConsistencyError):
         pi_net_backward(tape, np.ones_like(out), models)
+
+
+# ---------------------------------------------------------- batched forward
+
+
+def _batch_case(kind):
+    """(models, hp, start states) of one model family, for batch tests."""
+    if kind == "linear":
+        models = ModelSet(*sample_linear_teacher(RngStream(4)).models())
+        hp = PIHyperParams(lambda_=0.01, nu=1500.0, sigma=0.2,
+                           num_samples=7, horizon=5, recurrences=3)
+    elif kind == "pendulum_teacher":
+        models = ModelSet(*pendulum_teacher_models())
+        hp = PIHyperParams(lambda_=0.01, nu=1500.0, sigma=0.005,
+                           num_samples=30, horizon=8, recurrences=3)
+    else:
+        models = tiny_neural_models(167)
+        hp = PIHyperParams(lambda_=0.5, nu=1500.0, sigma=0.3,
+                           num_samples=30, horizon=6, recurrences=3)
+    n = models.dynamics.state_dim
+    return models, hp, RngStream(173).generator().standard_normal((10, n))
+
+
+@pytest.mark.parametrize("kind", ["linear", "pendulum_teacher", "mlp"])
+def test_batched_forward_equals_per_sample_calls_bitwise(kind):
+    models, hp, starts = _batch_case(kind)
+    root = RngStream(179)
+    for B in (1, 3, 10):
+        streams = [root.child(b) for b in range(B)]
+        plans, tape = pi_net_forward(starts[:B], None, models, hp, streams)
+        assert tape is None
+        assert plans.shape == (B, hp.horizon, models.weight.dim)
+        for b in range(B):
+            single, _ = pi_net_forward(starts[b], None, models, hp,
+                                       streams[b])
+            assert plans[b].tobytes() == single.tobytes(), (B, b)
+
+
+def test_recorded_forward_rejects_a_batch():
+    models, hp, starts = _batch_case("mlp")
+    streams = [RngStream(191).child(b) for b in range(2)]
+    with pytest.raises(ParameterError, match="one sample"):
+        pi_net_forward(starts[:2], None, models, hp, streams, record=True)
+    with pytest.raises(ShapeError, match="one stream per state"):
+        pi_net_forward(starts[:3], None, models, hp, streams)
+
+
+def test_batched_rollout_names_the_diverging_sample():
+    models = scalar_models()
+    noise = np.zeros((2, 2, 2, 1))
+    noise[1, 1, :, 0] = 1e308
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericError, match="trajectory 1 of sample 1"):
+        monte_carlo_rollout(np.zeros((2, 1)), np.zeros((2, 2, 1)), noise,
+                            models.dynamics, models.cost, np.eye(1), 1500.0)
+
+
+def test_evaluate_losses_over_chunks_equals_the_per_sample_mean_exactly():
+    models, hp, starts = _batch_case("mlp")
+    controls = RngStream(193).generator().standard_normal((7, 1))
+    samples = [MPCSample(x, u, x) for x, u in zip(starts, controls)]
+    weights = {"ctrl": 1.0, "cost": 1e-3}
+    goals = np.array([[np.pi, 0.0], [-np.pi, 0.0]])
+    rng = RngStream(197)
+    # chunks of hp.recurrences = 3 samples: 3 + 3 + 1
+    got = evaluate_losses(models, hp, samples, "mpc", rng, weights, goals)
+    each = [sample_losses(models, hp, s, "mpc", rng.child(i), weights, goals)
+            for i, s in enumerate(samples)]
+    ctrl = sum(m["ctrl"] for m in each) / len(each)
+    cost = sum(m["cost"] for m in each) / len(each)
+    assert got["ctrl"] == ctrl
+    assert got["cost"] == cost
+    assert got["total"] == weights["ctrl"] * ctrl + weights["cost"] * cost
+    # and each sample's loss is that of its own unbatched plan
+    for i, (sample, metrics) in enumerate(zip(samples, each)):
+        plan, _ = pi_net_forward(sample.x, None, models, hp, rng.child(i))
+        assert metrics["ctrl"] == float(np.mean((plan[0] - sample.u) ** 2))
 
 
 # ---------------------------------------------------------------- planner

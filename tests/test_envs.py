@@ -122,6 +122,19 @@ def test_pendulum_forward_matches_literal_rk4_bitwise():
                 assert got.tobytes() == want, (dt, B, scale)
 
 
+def test_pendulum_forward_on_a_batch_equals_per_sample_calls_bitwise():
+    gen = RngStream(23).generator()
+    dyn = PendulumDynamics()
+    for B in (1, 3, 10):
+        for K in (1, 2, 7, 30, 100):
+            x = gen.standard_normal((B, K, 2))
+            v = gen.standard_normal((B, K, 1))
+            got = dyn.forward(x, v)
+            assert got.shape == (B, K, 2)
+            want = np.stack([dyn.forward(x[b], v[b]) for b in range(B)])
+            assert got.tobytes() == want.tobytes(), (B, K)
+
+
 def test_pendulum_energy_drift_is_small():
     dyn = PendulumDynamics()
     gen = RngStream(11).generator()

@@ -110,6 +110,25 @@ def test_vjp_zero_cotangent():
     assert not x_bar.any() and not v_bar.any() and not p_bar.any()
 
 
+@pytest.mark.parametrize("make", [
+    lambda rng: LinearDynamics(rng.standard_normal((4, 4)),
+                               rng.standard_normal((4, 2))),
+    lambda rng: MLPDynamics(hidden=12, dt=0.1, init_rng=RngStream(5)),
+], ids=["linear", "mlp"])
+def test_dynamics_forward_on_a_batch_equals_per_sample_calls_bitwise(make):
+    rng = np.random.default_rng(19)
+    model = make(rng)
+    n, m = model.state_dim, model.control_dim
+    for B in (1, 3, 10):
+        for K in (1, 2, 7, 30, 100):
+            x = rng.standard_normal((B, K, n))
+            v = rng.standard_normal((B, K, m))
+            got = model.forward(x, v)
+            assert got.shape == (B, K, n)
+            want = np.stack([model.forward(x[b], v[b]) for b in range(B)])
+            assert got.tobytes() == want.tobytes(), (B, K)
+
+
 def test_dynamics_vjps_match_finite_differences():
     rng = np.random.default_rng(10)
     linear = LinearDynamics(rng.standard_normal((3, 3)), rng.standard_normal((3, 2)))
