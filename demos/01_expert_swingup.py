@@ -7,17 +7,14 @@ angle stays within 0.5 rad of upright for five consecutive seconds.
 import numpy as np
 
 from picontrol.core import RngStream
-from picontrol.envs import (PENDULUM_EXPERT_HORIZON, PendulumPlant,
-                            mpc_simulate, pendulum_teacher_models,
-                            upright_success)
-from picontrol.experts import ILQRPlanner, ILQRSettings
+from picontrol.envs import (PendulumPlant, mpc_simulate, pendulum_expert,
+                            pendulum_teacher_models, upright_success)
 
 np.set_printoptions(precision=3, suppress=True)
 
-dynamics, cost, weight = pendulum_teacher_models()
-planner = ILQRPlanner(dynamics, cost, weight.matrix(),
-                      PENDULUM_EXPERT_HORIZON,
-                      ILQRSettings(max_iterations=100))
+# the demonstration-generating teacher: iLQR over the true models
+planner = pendulum_expert()
+_, cost, weight = pendulum_teacher_models()
 plant = PendulumPlant()
 
 # ---------------------------------------------------------------- one run
@@ -30,7 +27,7 @@ print(f"start: theta {x0[0]:+.3f} rad, theta_dot {x0[1]:+.3f} rad/s")
 result = mpc_simulate(planner, plant, x0, duration=20.0,
                       rng=rng.child(1), cost_model=cost,
                       weight_matrix=weight.matrix(),
-                      success_fn=upright_success)
+                      success_fn=lambda s: upright_success(s, plant.dt))
 
 print(f"success: {result.success}, trajectory cost {result.cost:.2f}, "
       f"wall {result.wall_time:.1f} s")

@@ -1,6 +1,6 @@
 """Drive the whole experiment pipeline through the command line.
 
-gen-data -> train -> eval -> simulate at toy scale, in a temp directory.
+gen-data -> train -> eval at toy scale, in a temp directory.
 Every artifact is byte-stable: rerunning any command with the same config
 and seed reproduces the files exactly, which the last section checks.
 """

@@ -30,9 +30,9 @@ from .controller import ModelSet, PathIntegralPlanner, pi_net_backward, pi_net_f
 from .core import (ConsistencyError, MemoryBudgetError, NumericError,
                    ParameterError, ParamVector, PIHyperParams, RngStream,
                    ShapeError, atomic_open, unpack_params)
-from .envs import (benchmark_runs, pendulum_teacher_models,
+from .envs import (benchmark_runs, pendulum_expert, pendulum_teacher_models,
                    sample_linear_teacher, write_trajectory_csv)
-from .experts import ILQRPlanner, ILQRSettings, LQRPlanner, LQRProblem, sequence_cost
+from .experts import LQRPlanner, LQRProblem, sequence_cost
 from .models import MODEL_TYPES, PendulumTeacherCost, model_type_name
 from .training import (DEFAULT_MEMORY_BUDGET, MPCSample, OpenLoopSample,
                        OptimizerState, PENDULUM_GOALS, build_linear_dataset,
@@ -663,9 +663,8 @@ class PendulumEnvironment:
                                     float(cfg["models"]["dt"]))
 
     def expert(self, teacher, horizon):
-        return ILQRPlanner(teacher.dynamics, teacher.cost,
-                           teacher.weight.matrix(), horizon,
-                           ILQRSettings(max_iterations=100))
+        # every pendulum teacher is the plant's own models, as in the expert
+        return pendulum_expert(horizon)
 
     def simulation(self, cfg, out_dir, inputs):
         # the plant's own models, shared by every dataset
@@ -984,8 +983,10 @@ def cmd_gradcheck(cfg, out_dir, force):
     root = RngStream(cfg["seed"]).child(STREAM_GRAD)
     started = time.time()
 
-    segments = {}
+    checks = {}  # live segment -> per-instance (rel, violation, est, ref)
     frozen_abs = {name: 0.0 for name in frozen}
+    floor = float(gc["floor"])
+    tolerance = float(gc["tolerance"])
     for i in range(int(gc["instances"])):
         inst = root.child(i)
         models = init_pendulum_models(inst, int(gc["hidden"]), 0.1)
@@ -1006,14 +1007,11 @@ def cmd_gradcheck(cfg, out_dir, force):
             frozen_abs[name] = max(frozen_abs[name], float(
                 np.max(np.abs(grad.segment(name)), initial=0.0)))
 
-        layout = grad.layout
-        live = [(name, offset, length) for name, offset, length in layout
+        live = [(name, offset, length) for name, offset, length in grad.layout
                 if name not in frozen]
         coords = [j for _, offset, length in live
                   for j in range(offset, offset + length)]
         fd = _fd_gradient(models, hp, x0, demo, noise_stream, coords)
-        floor = float(gc["floor"])
-        tolerance = float(gc["tolerance"])
         for name, offset, length in live:
             seg_est = grad.values[offset:offset + length]
             seg_ref = fd[offset:offset + length]
@@ -1022,29 +1020,29 @@ def cmd_gradcheck(cfg, out_dir, force):
             # a disagreement below the oracle's own roundoff scale counts
             # as agreement, however small the reference coordinate is
             violation = (rel > tolerance) & (diff > floor * 1e-2)
-            entry = segments.setdefault(
-                name, {"max_rel_err": -1.0, "violations": 0, "failed": False})
-            entry["violations"] += int(np.count_nonzero(violation))
-            # once a segment has violations, the worst-coordinate fields
-            # stay locked onto violating coordinates
-            pool = np.where(violation, rel, -np.inf) if violation.any() else rel
-            worst = int(np.argmax(pool))
-            promote = (violation.any() and not entry["failed"])
-            improve = (violation.any() == entry["failed"]
-                       and rel[worst] > entry["max_rel_err"])
-            if promote or improve:
-                entry.update({"max_rel_err": float(rel[worst]),
-                              "worst_coordinate": worst,
-                              "worst_instance": i,
-                              "estimate": float(seg_est[worst]),
-                              "reference": float(seg_ref[worst]),
-                              "failed": bool(violation.any())})
+            checks.setdefault(name, []).append((rel, violation, seg_est,
+                                                seg_ref))
+
+    segments = {}
+    for name, rows in checks.items():
+        rel, violation, est, ref = (np.stack(col) for col in zip(*rows))
+        # the worst coordinate is the worst violating one when any
+        # violates; row-major argmax picks the earliest instance on ties
+        pool = np.where(violation, rel, -np.inf) if violation.any() else rel
+        worst = np.unravel_index(np.argmax(pool), pool.shape)
+        segments[name] = {"max_rel_err": float(rel[worst]),
+                          "violations": int(np.count_nonzero(violation)),
+                          "failed": bool(violation.any()),
+                          "worst_coordinate": int(worst[1]),
+                          "worst_instance": int(worst[0]),
+                          "estimate": float(est[worst]),
+                          "reference": float(ref[worst])}
 
     passed = not any(entry["failed"] for entry in segments.values())
     report = {"version": 1,
               "instances": int(gc["instances"]),
               "tolerance": tolerance,
-              "floor": float(gc["floor"]),
+              "floor": floor,
               "corrupt": gc["corrupt"],
               "segments": segments,
               "frozen_max_abs_gradient": frozen_abs,

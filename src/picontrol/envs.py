@@ -2,8 +2,10 @@
 
 Two plants: a family of random orthogonal linear systems, and a pendulum
 swing-up task integrated with fourth-order Runge-Kutta.  The module also
-owns the receding-horizon loop (plan, apply first control, repeat) and
-the success / trajectory-cost metrics used to score controllers.
+owns the pendulum's iLQR expert, the receding-horizon loop (plan, apply
+first control, repeat) and the success metric used to score controllers.
+Runs are scored by experts.trajectory_cost, the planners' own objective,
+re-exported here.
 """
 
 import csv
@@ -14,6 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .core import NumericError, RngStream, atomic_open
+from .experts import ILQRPlanner, ILQRSettings, trajectory_cost
 from .models import (MODEL_TYPES, ControlCostWeight, LinearDynamics,
                      PendulumTeacherCost, QuadraticCost)
 
@@ -217,6 +220,13 @@ def pendulum_teacher_models(dt=0.1, gain=0.5, control_weight=5.0):
 PENDULUM_EXPERT_HORIZON = 210
 
 
+def pendulum_expert(horizon=PENDULUM_EXPERT_HORIZON) -> ILQRPlanner:
+    """The iLQR teacher that demonstrates and benchmarks the swing-up."""
+    dynamics, cost, weight = pendulum_teacher_models()
+    return ILQRPlanner(dynamics, cost, weight.matrix(), horizon,
+                       ILQRSettings(max_iterations=100))
+
+
 def upright_success(states, dt, window=5.0, threshold=0.5):
     """True iff the pendulum stays upright for a contiguous window.
 
@@ -233,22 +243,6 @@ def upright_success(states, dt, window=5.0, threshold=0.5):
         run = run + 1 if flag else 0
         best = max(best, run)
     return best - 1 >= needed
-
-
-def trajectory_cost(states, controls, cost_model, weight_matrix):
-    """Realized cost of one closed-loop run.
-
-    terminal(x_T) + sum_i running(x_i) + u_i' R u_i / 2 over the applied
-    controls; an empty control list leaves just the terminal term.
-    """
-    states = np.asarray(states, dtype=float)
-    controls = np.asarray(controls, dtype=float)
-    R = np.atleast_2d(np.asarray(weight_matrix, dtype=float))
-    total = float(cost_model.terminal(states[-1:])[0])
-    if controls.size:
-        total += float(cost_model.running(states[:-1]).sum())
-        total += 0.5 * float(np.einsum("im,mp,ip->", controls, R, controls))
-    return total
 
 
 @dataclass
@@ -314,23 +308,20 @@ def mpc_simulate(planner, plant, x0, duration, warm_start=True, rng=None,
                             time.perf_counter() - start)
 
 
-def benchmark_runs(planner, rng: RngStream, count, duration,
-                   cost_model=None, weight_matrix=None):
+def benchmark_runs(planner, rng: RngStream, count, duration):
     """Closed-loop swing-up runs from the benchmark start distribution.
 
     Run i draws theta ~ U[-pi, pi], theta_dot ~ U[-1, 1] from rng.child(i)
     and simulates with the planner stream rng.child(1000 + i), so results
-    are a pure function of (planner, rng, count, duration).  Divergent
-    runs are dropped and counted.
+    are a pure function of (planner, rng, count, duration).  Every run is
+    scored with the teacher's cost.  Divergent runs are dropped and
+    counted.
 
     Returns:
         (list of SimulationResult, excluded count)
     """
-    if cost_model is None or weight_matrix is None:
-        _, teacher_cost, teacher_weight = pendulum_teacher_models()
-        cost_model = cost_model or teacher_cost
-        weight_matrix = (weight_matrix if weight_matrix is not None
-                         else teacher_weight.matrix())
+    _, cost_model, weight = pendulum_teacher_models()
+    weight_matrix = weight.matrix()
     plant = PendulumPlant()
     results, excluded = [], 0
     for i in range(count):

@@ -4,7 +4,7 @@ Finite-horizon discrete-time LQR (exact, via the backward Riccati
 recursion) covers the linear experiments; iLQR with Levenberg-style
 regularization and backtracking line search covers the pendulum.  Both
 minimize the same zero-noise objective the sampling controller targets:
-sum_i q(x_i) + u_i'Ru_i/2 plus a terminal cost.
+sum_i q(x_i) + u_i'Ru_i/2 plus a terminal cost, all in trajectory_cost.
 """
 
 from dataclasses import dataclass, field
@@ -75,18 +75,26 @@ def riccati_gains(p: LQRProblem):
 
 def lqr_solve(p: LQRProblem, x0) -> np.ndarray:
     """Exact minimizer of the finite-horizon LQ objective from x0."""
-    gains, _ = riccati_gains(p)
-    x = np.asarray(x0, dtype=float)
-    useq = np.empty((p.horizon, p.G.shape[1]))
-    for i, K in enumerate(gains):
-        u = -K @ x
-        useq[i] = u
-        x = p.F @ x + p.G @ u
-    return useq
+    return LQRPlanner(p).plan(x0)
+
+
+def trajectory_cost(states, controls, cost_model, weight_matrix):
+    """The zero-noise objective that scores plans, experts and closed-loop
+    runs: terminal(x_N) + sum_i running(x_i) + u_i' R u_i / 2; an empty
+    control list leaves just the terminal term."""
+    states = np.asarray(states, dtype=float)
+    controls = np.asarray(controls, dtype=float)
+    R = np.atleast_2d(np.asarray(weight_matrix, dtype=float))
+    total = float(cost_model.terminal(states[-1:])[0])
+    if controls.size:
+        total += float(cost_model.running(states[:-1]).sum())
+        total += 0.5 * float(np.einsum("im,mp,ip->", controls, R, controls))
+    return total
 
 
 def sequence_cost(dynamics, cost, weight_matrix, x0, useq):
-    """Zero-noise objective of a plan under the given models."""
+    """(zero-noise objective, (N+1, n) rollout states) of a plan under the
+    given models; NumericError when the rollout diverges."""
     useq = np.asarray(useq, dtype=float)
     x = np.asarray(x0, dtype=float)[None, :]
     states = [x]
@@ -96,9 +104,7 @@ def sequence_cost(dynamics, cost, weight_matrix, x0, useq):
     stacked = np.concatenate(states, axis=0)
     if not np.all(np.isfinite(stacked)):
         raise NumericError("plan rollout diverged")
-    total = float(cost.running(stacked[:-1]).sum() + cost.terminal(stacked[-1:])[0])
-    total += 0.5 * float(np.einsum("im,mp,ip->", useq, weight_matrix, useq))
-    return total, stacked
+    return trajectory_cost(stacked, useq, cost, weight_matrix), stacked
 
 
 @dataclass(frozen=True)
@@ -196,56 +202,58 @@ def ilqr_solve(dynamics, cost, weight_matrix, x0, horizon,
                              cost.gradient(states[-1:])], axis=0)
         qxx = np.concatenate([cost.hessian(states[:-1]),
                               cost.hessian(states[-1:])], axis=0)
-        sweep = _ilqr_backward(A, B, qx, qxx, useq, R, mu)
-        while sweep is None:
-            mu = max(s.reg_min, mu * s.reg_factor)
-            if mu > s.reg_max:
-                result.degraded = True
-                return result
+        sweep = step = None
+        while sweep is None:  # a failed sweep retries within the iteration
             sweep = _ilqr_backward(A, B, qx, qxx, useq, R, mu)
-        k, Kfb, expected = sweep
-        if expected <= s.tol * max(1.0, abs(J)):
-            result.converged = True
-            return result
-        accepted = False
-        for step in range(s.backtracking_steps):
-            alpha = 0.5 ** step
-            new_u = np.empty_like(useq)
-            x = states[0].copy()
-            new_states = [x[None, :].copy()]
-            for i in range(horizon):
-                u = useq[i] + alpha * k[i] + Kfb[i] @ (x - states[i])
-                new_u[i] = u
-                x = dynamics.forward(x[None, :], u[None, :])[0]
-                new_states.append(x[None, :].copy())
-            stacked = np.concatenate(new_states, axis=0)
-            if not np.all(np.isfinite(stacked)):
-                continue
-            J_new = float(cost.running(stacked[:-1]).sum()
-                          + cost.terminal(stacked[-1:])[0]
-                          + 0.5 * np.einsum("im,mp,ip->", new_u, R, new_u))
-            if np.isfinite(J_new) and J_new < J:
-                accepted = True
-                break
-        if accepted:
-            drop = J - J_new
-            useq, states, J = new_u, stacked, J_new
+            if sweep is not None:
+                k, Kfb, expected = sweep
+                if expected <= s.tol * max(1.0, abs(J)):
+                    result.converged = True
+                    return result
+                step = _line_search(dynamics, cost, R, states, useq, k, Kfb,
+                                    J, s.backtracking_steps)
+            if step is None:
+                # a failed sweep or a rejected step raises the regularization
+                mu = max(s.reg_min, mu * s.reg_factor)
+                if mu > s.reg_max:
+                    result.degraded = True
+                    return result
+        if step is not None:
+            drop = J - step[0]
+            J, useq, states = step
             result.controls, result.cost = useq, J
             result.costs.append(J)
             mu = mu / s.reg_factor if mu > s.reg_min else 0.0
             if drop <= s.tol * max(1.0, abs(J)):
                 result.converged = True
                 return result
-        else:
-            mu = max(s.reg_min, mu * s.reg_factor)
-            if mu > s.reg_max:
-                result.degraded = True
-                return result
     return result
 
 
+def _line_search(dynamics, cost, R, states, useq, k, Kfb, J, steps):
+    """(cost, controls, states) of the first step, with the feed-forward
+    term scaled by 1, 1/2, ..., 2^-(steps-1), that lowers the cost J;
+    None when no step does."""
+    for step in range(steps):
+        alpha = 0.5 ** step
+        new_u = np.empty_like(useq)
+        new_states = np.empty_like(states)
+        new_states[0] = states[0]
+        for i in range(useq.shape[0]):
+            new_u[i] = (useq[i] + alpha * k[i]
+                        + Kfb[i] @ (new_states[i] - states[i]))
+            new_states[i + 1] = dynamics.forward(new_states[i:i + 1],
+                                                 new_u[i:i + 1])[0]
+        if not np.all(np.isfinite(new_states)):
+            continue
+        J_new = trajectory_cost(new_states, new_u, cost, R)
+        if np.isfinite(J_new) and J_new < J:
+            return J_new, new_u, new_states
+    return None
+
+
 class LQRPlanner:
-    """Planner-protocol wrapper around lqr_solve for closed-loop use."""
+    """Exact LQR plans from precomputed Riccati gains (planner protocol)."""
 
     warm_recurrences = None
 

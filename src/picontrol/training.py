@@ -16,8 +16,9 @@ from .controller import ModelSet, pi_net_backward, pi_net_forward
 from .core import (MemoryBudgetError, NumericError, ParamVector, ParameterError,
                    PIHyperParams, RngStream, ShapeError, atomic_open,
                    unpack_params)
-from .envs import PENDULUM_EXPERT_HORIZON, sample_linear_teacher, wrap_angle
-from .experts import ILQRPlanner, ILQRSettings, LQRPlanner, LQRProblem
+from .envs import (PENDULUM_EXPERT_HORIZON, benchmark_runs, pendulum_expert,
+                   sample_linear_teacher, wrap_angle)
+from .experts import LQRPlanner, LQRProblem
 from .models import ControlCostWeight, MLPCost, MLPDynamics, QuadraticCost
 
 PENDULUM_GOALS = np.array([[np.pi, 0.0], [-np.pi, 0.0]])
@@ -61,14 +62,24 @@ def loss_ctrl(pred, demo):
     return float(np.mean((pred - demo) ** 2))
 
 
-def loss_dyn(dynamics, samples, wrap=False):
-    """MSE between one-step predictions and observed next states."""
-    X = np.stack([s.x for s in samples])
-    U = np.stack([s.u for s in samples])
-    Xn = np.stack([s.x_next for s in samples])
+def _stack_transitions(samples):
+    """(X, U, X') arrays of a transition list, one row per sample."""
+    return (np.stack([s.x for s in samples]), np.stack([s.u for s in samples]),
+            np.stack([s.x_next for s in samples]))
+
+
+def _dyn_residual(dynamics, X, U, Xn, wrap):
+    """One-step predictions minus observed next states; with wrap, the
+    angle component is wrapped to (-pi, pi]."""
     diff = dynamics.forward(X, U) - Xn
     if wrap:
         diff[:, 0] = wrap_angle(diff[:, 0])
+    return diff
+
+
+def loss_dyn(dynamics, samples, wrap=False):
+    """MSE between one-step predictions and observed next states."""
+    diff = _dyn_residual(dynamics, *_stack_transitions(samples), wrap)
     return float(np.mean(diff ** 2))
 
 
@@ -167,16 +178,10 @@ def build_linear_dataset(teacher, rng: RngStream, n_train=950, n_test=50,
 
 
 def expert_rollouts(rng: RngStream, count, duration=40.0,
-                    expert_horizon=PENDULUM_EXPERT_HORIZON,
-                    settings: ILQRSettings | None = None):
+                    expert_horizon=PENDULUM_EXPERT_HORIZON):
     """Closed-loop demonstration runs by the converged iLQR teacher."""
-    from .envs import benchmark_runs, pendulum_teacher_models
-
-    dyn, cost, weight = pendulum_teacher_models()
-    planner = ILQRPlanner(dyn, cost, weight.matrix(), expert_horizon,
-                          settings or ILQRSettings(max_iterations=100))
-    return benchmark_runs(planner, rng, count, duration,
-                          cost_model=cost, weight_matrix=weight.matrix())
+    return benchmark_runs(pendulum_expert(expert_horizon), rng, count,
+                          duration)
 
 
 def transitions_from(results):
@@ -192,8 +197,7 @@ def transitions_from(results):
 
 def build_pendulum_dataset(rng: RngStream, n_traj_train=50, n_traj_test=10,
                            duration=40.0,
-                           expert_horizon=PENDULUM_EXPERT_HORIZON,
-                           settings: ILQRSettings | None = None):
+                           expert_horizon=PENDULUM_EXPERT_HORIZON):
     """Expert MPC transitions for the swing-up task.
 
     Trajectories start from theta ~ U[-pi, pi], theta_dot ~ U[-1, 1] and
@@ -204,11 +208,9 @@ def build_pendulum_dataset(rng: RngStream, n_traj_train=50, n_traj_test=10,
         (train_samples, test_samples, excluded_count)
     """
     train_runs, dropped_train = expert_rollouts(rng.child(0), n_traj_train,
-                                                duration, expert_horizon,
-                                                settings)
+                                                duration, expert_horizon)
     test_runs, dropped_test = expert_rollouts(rng.child(1), n_traj_test,
-                                              duration, expert_horizon,
-                                              settings)
+                                              duration, expert_horizon)
     return (transitions_from(train_runs), transitions_from(test_runs),
             dropped_train + dropped_test)
 
@@ -263,37 +265,36 @@ def pretrain_dynamics(dynamics, train_samples, test_samples, epochs,
     if not train_samples:
         raise ParameterError("training set is empty")
     rng = rng or RngStream(0)
-    X = np.stack([s.x for s in train_samples])
-    U = np.stack([s.u for s in train_samples])
-    Xn = np.stack([s.x_next for s in train_samples])
-    count, n = X.shape
+    train = _stack_transitions(train_samples)
+    test = _stack_transitions(test_samples) if test_samples else None
+    X, U, Xn = train
     state = OptimizerState(v=np.zeros(dynamics.num_params), lr=lr)
-    history = [{"epoch": 0, "lr": state.lr,
-                "train_dyn": loss_dyn(dynamics, train_samples, wrap=wrap),
-                "test_dyn": (loss_dyn(dynamics, test_samples, wrap=wrap)
-                             if test_samples else None)}]
+
+    def mse(data):
+        if data is None:
+            return None
+        return float(np.mean(_dyn_residual(dynamics, *data, wrap) ** 2))
+
+    history = [{"epoch": 0, "lr": state.lr, "train_dyn": mse(train),
+                "test_dyn": mse(test)}]
     for epoch in range(1, epochs + 1):
-        order = rng.child(epoch).generator().permutation(count)
-        for lo in range(0, count, batch_size):
+        order = rng.child(epoch).generator().permutation(X.shape[0])
+        for lo in range(0, X.shape[0], batch_size):
             idx = order[lo:lo + batch_size]
-            xb, ub, tb = X[idx], U[idx], Xn[idx]
-            diff = dynamics.forward(xb, ub) - tb
-            if wrap:
-                diff[:, 0] = wrap_angle(diff[:, 0])
+            xb, ub = X[idx], U[idx]
+            diff = _dyn_residual(dynamics, xb, ub, Xn[idx], wrap)
             cot = (2.0 / diff.size) * diff
             _, _, grad = dynamics.vjp(xb, ub, cot)
             params = dynamics.get_params()
             rmsprop_step(params, grad, state)
             dynamics.set_params(params)
-        train_loss = loss_dyn(dynamics, train_samples, wrap=wrap)
+        train_loss = mse(train)
         if not np.isfinite(train_loss):
             raise NumericError(f"dynamics loss diverged at epoch {epoch}: "
                                f"{train_loss}")
         lr_plateau_schedule(state, train_loss)
         history.append({"epoch": epoch, "lr": state.lr,
-                        "train_dyn": train_loss,
-                        "test_dyn": (loss_dyn(dynamics, test_samples, wrap=wrap)
-                                     if test_samples else None)})
+                        "train_dyn": train_loss, "test_dyn": mse(test)})
     return history
 
 

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from picontrol import experts
 from picontrol.core import ParameterError, RngStream
-from picontrol.envs import pendulum_teacher_models, sample_linear_teacher
+from picontrol.envs import (PendulumDynamics, pendulum_teacher_models,
+                            sample_linear_teacher)
 from picontrol.experts import (ILQRPlanner, ILQRResult, ILQRSettings,
                                LQRPlanner, LQRProblem, ilqr_solve, lqr_solve,
-                               riccati_gains, sequence_cost)
-from picontrol.models import LinearDynamics, QuadraticCost
+                               riccati_gains, sequence_cost, trajectory_cost)
+from picontrol.models import (LinearDynamics, MLPCost, PendulumTeacherCost,
+                              QuadraticCost)
 
 import oracles
 
@@ -134,6 +137,81 @@ def test_ilqr_accepted_costs_are_monotone():
     assert result.cost == costs[-1]
 
 
+def test_ilqr_cost_is_the_sequence_cost_of_its_plan():
+    # the solver scores its line search with the same objective
+    dyn, cost, weight = pendulum_teacher_models()
+    init = 0.5 * np.sin(np.linspace(0.0, 3.0, 30))[:, None]
+    pendulum = ilqr_solve(dyn, cost, weight.matrix(), np.array([0.4, -0.2]),
+                          30, init=init)
+    assert len(pendulum.costs) > 1
+    assert pendulum.cost == sequence_cost(dyn, cost, weight.matrix(),
+                                          np.array([0.4, -0.2]),
+                                          pendulum.controls)[0]
+
+    p = random_problem(31, horizon=20)
+    x0 = np.array([1.5, 0.0, -0.7, 0.2])
+    linear = ilqr_solve(LinearDynamics(p.F, p.G), QuadraticCost(p.Q), p.R,
+                        x0, 20)
+    assert len(linear.costs) > 1
+    assert linear.cost == sequence_cost(LinearDynamics(p.F, p.G),
+                                        QuadraticCost(p.Q), p.R, x0,
+                                        linear.controls)[0]
+
+
+def test_ilqr_sweep_retries_are_not_iterations(monkeypatch):
+    # a cost Hessian shifted below zero makes unregularized sweeps fail;
+    # each retry raises the regularization at the same linearization
+    dyn, cost, weight = pendulum_teacher_models()
+
+    class Shifted:
+        running, terminal, gradient = cost.running, cost.terminal, cost.gradient
+
+        def hessian(self, x):
+            return cost.hessian(x) - 50.0 * np.eye(2)
+
+    class Counted:
+        jacobians = 0
+        forward = dyn.forward
+
+        def jacobian(self, x, u):
+            Counted.jacobians += 1
+            return dyn.jacobian(x, u)
+
+    sweeps = []
+    backward = experts._ilqr_backward
+
+    def recorded(*args):
+        sweeps.append(backward(*args))
+        return sweeps[-1]
+
+    monkeypatch.setattr(experts, "_ilqr_backward", recorded)
+    result = ilqr_solve(Counted(), Shifted(), weight.matrix(),
+                        np.array([0.4, -0.2]), 20,
+                        ILQRSettings(max_iterations=5),
+                        init=0.3 * np.ones((20, 1)))
+    assert sum(s is None for s in sweeps) > 0
+    assert result.iterations == Counted.jacobians
+    assert len(sweeps) > result.iterations
+
+
+@pytest.mark.parametrize("cost_name", ["quadratic", "mlp", "pendulum_teacher"])
+def test_sequence_cost_is_the_trajectory_cost_of_its_rollout(cost_name):
+    gen = RngStream(37).generator()
+    if cost_name == "quadratic":
+        p = random_problem(37, horizon=12)
+        dyn, cost, R = LinearDynamics(p.F, p.G), QuadraticCost(p.Q), p.R
+        x0, useq = gen.normal(size=4), gen.normal(size=(12, 2))
+    else:
+        dyn = PendulumDynamics()
+        cost = (MLPCost(init_rng=RngStream(38)) if cost_name == "mlp"
+                else PendulumTeacherCost())
+        R = np.array([[5.0]])
+        x0, useq = gen.normal(size=2), gen.normal(size=(12, 1))
+    total, states = sequence_cost(dyn, cost, R, x0, useq)
+    assert states.shape == (13, x0.size)
+    assert total == trajectory_cost(states, useq, cost, R)
+
+
 def test_ilqr_settings_validation():
     with pytest.raises(ParameterError):
         ILQRSettings(max_iterations=0)
@@ -150,7 +228,7 @@ def test_lqr_planner_matches_direct_solve():
     p = random_problem(29, horizon=10)
     planner = LQRPlanner(p)
     x0 = np.array([0.3, 0.4, -0.2, 1.0])
-    assert np.allclose(planner.plan(x0), lqr_solve(p, x0), atol=1e-14)
+    assert np.array_equal(planner.plan(x0), lqr_solve(p, x0))
     assert planner.horizon == 10
     assert planner.control_dim == 2
     # init and rng are accepted and ignored
