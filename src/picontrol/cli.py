@@ -68,8 +68,7 @@ def default_config(environment, profile):
             # Gentle settings: a smooth trajectory softmax at tiny scale,
             # so central differences converge.
             "hyper": {"lambda": 0.5, "nu": 1500.0, "sigma": 0.3,
-                      "num_samples": 4, "horizon": 3, "recurrences": 2,
-                      "warm_recurrences": None},
+                      "num_samples": 4, "horizon": 3, "recurrences": 2},
         },
         "costmap": {
             "source": "teacher",

@@ -9,7 +9,6 @@ re-exported here.
 """
 
 import csv
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,8 @@ from scipy.linalg import expm
 
 from .core import NumericError, RngStream, atomic_open
 from .experts import ILQRPlanner, ILQRSettings, trajectory_cost
-from .models import (MODEL_TYPES, ControlCostWeight, LinearDynamics,
-                     PendulumTeacherCost, QuadraticCost)
+from .models import (MODEL_TYPES, ControlCostWeight, FlatParams,
+                     LinearDynamics, PendulumTeacherCost, QuadraticCost)
 
 
 def wrap_angle(theta):
@@ -27,7 +26,7 @@ def wrap_angle(theta):
     return -((np.pi - theta) % (2.0 * np.pi) - np.pi)
 
 
-class PendulumDynamics:
+class PendulumDynamics(FlatParams):
     """RK4-discretized pendulum: theta_ddot = -sin(theta) + gain * u.
 
     The model is deliberately unwrapped (angles accumulate) so that it is
@@ -35,20 +34,13 @@ class PendulumDynamics:
     analytic Jacobians obtained by chaining the four stage derivatives.
     """
 
+    PARAMS = ()
     state_dim = 2
     control_dim = 1
-    num_params = 0
 
     def __init__(self, dt=0.1, gain=0.5):
         self.dt = float(dt)
         self.gain = float(gain)
-
-    def get_params(self):
-        return np.zeros(0)
-
-    def set_params(self, vec):
-        if np.asarray(vec).size != 0:
-            raise ValueError("pendulum dynamics has no parameters")
 
     def _rhs(self, s, u):
         out = np.empty_like(s)
@@ -251,7 +243,6 @@ class SimulationResult:
     controls: np.ndarray  # (T, m)
     success: bool
     cost: float | None
-    wall_time: float
 
 
 def mpc_simulate(planner, plant, x0, duration, warm_start=True, rng=None,
@@ -276,7 +267,6 @@ def mpc_simulate(planner, plant, x0, duration, warm_start=True, rng=None,
     Raises:
         NumericError: the plant state left the finite range, with the step.
     """
-    start = time.perf_counter()
     if rng is None:
         rng = RngStream(0)
     steps = int(round(duration / plant.dt))
@@ -304,8 +294,7 @@ def mpc_simulate(planner, plant, x0, duration, warm_start=True, rng=None,
     cost = None
     if cost_model is not None and weight_matrix is not None:
         cost = trajectory_cost(states, controls, cost_model, weight_matrix)
-    return SimulationResult(states, controls, success, cost,
-                            time.perf_counter() - start)
+    return SimulationResult(states, controls, success, cost)
 
 
 def benchmark_runs(planner, rng: RngStream, count, duration):

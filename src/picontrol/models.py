@@ -3,7 +3,9 @@
 Model contract (duck-typed, shared by everything in this module):
 
 * ``num_params`` / ``get_params()`` / ``set_params(vec)`` — flat float64
-  parameter access, always copied.
+  parameter access, always copied, written once in ``FlatParams``.  Each
+  model lists its parameter arrays in ``PARAMS``; that order is the
+  checkpoint order and the order of every ``param_bar``.
 * dynamics: ``forward(x, v) -> x_next`` and
   ``vjp(x, v, cot) -> (x_bar, v_bar, param_bar)``.
 * state costs: ``running(x) -> q`` / ``terminal(x) -> phi`` and the
@@ -23,8 +25,39 @@ import numpy as np
 from .core import ParameterError, RngStream, ShapeError
 
 
-class LinearDynamics:
+class FlatParams:
+    """Flat parameter access over the array attributes named in ``PARAMS``.
+
+    ``get_params`` concatenates the raveled arrays in ``PARAMS`` order;
+    ``set_params`` checks the length and writes back a reshaped copy of
+    each array.  Parameter-free models declare ``PARAMS = ()``.
+    """
+
+    @property
+    def num_params(self):
+        return sum(getattr(self, name).size for name in self.PARAMS)
+
+    def get_params(self):
+        arrays = [getattr(self, name).ravel() for name in self.PARAMS]
+        return np.concatenate(arrays) if arrays else np.zeros(0)
+
+    def set_params(self, vec):
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (self.num_params,):
+            raise ShapeError(f"{type(self).__name__} expects {self.num_params} "
+                             f"parameters, got {vec.shape}")
+        offset = 0
+        for name in self.PARAMS:
+            old = getattr(self, name)
+            setattr(self, name,
+                    vec[offset:offset + old.size].reshape(old.shape).copy())
+            offset += old.size
+
+
+class LinearDynamics(FlatParams):
     """x' = F x + G v."""
+
+    PARAMS = ("F", "G")
 
     def __init__(self, F, G):
         self.F = np.array(F, dtype=float)
@@ -41,21 +74,6 @@ class LinearDynamics:
     @property
     def control_dim(self):
         return self.G.shape[1]
-
-    @property
-    def num_params(self):
-        return self.F.size + self.G.size
-
-    def get_params(self):
-        return np.concatenate([self.F.ravel(), self.G.ravel()])
-
-    def set_params(self, vec):
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.num_params,):
-            raise ShapeError(f"expected {self.num_params} parameters, got {vec.shape}")
-        nf = self.F.size
-        self.F = vec[:nf].reshape(self.F.shape).copy()
-        self.G = vec[nf:].reshape(self.G.shape).copy()
 
     def forward(self, x, v):
         return x @ self.F.T + v @ self.G.T
@@ -81,8 +99,10 @@ class LinearDynamics:
         return cls(np.zeros((cfg["n"], cfg["n"])), np.zeros((cfg["n"], cfg["m"])))
 
 
-class QuadraticCost:
+class QuadraticCost(FlatParams):
     """q(x) = x'Qx / 2, shared as running and terminal cost."""
+
+    PARAMS = ("Q",)
 
     def __init__(self, Q):
         self.Q = np.array(Q, dtype=float)
@@ -93,27 +113,13 @@ class QuadraticCost:
     def state_dim(self):
         return self.Q.shape[0]
 
-    @property
-    def num_params(self):
-        return self.Q.size
-
-    def get_params(self):
-        return self.Q.ravel().copy()
-
-    def set_params(self, vec):
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.num_params,):
-            raise ShapeError(f"expected {self.num_params} parameters, got {vec.shape}")
-        self.Q = vec.reshape(self.Q.shape).copy()
-
     def running(self, x):
         return 0.5 * np.einsum("bi,ij,bj->b", x, self.Q, x)
 
     terminal = running
 
     def running_vjp(self, x, cot):
-        sym = 0.5 * (self.Q + self.Q.T)
-        x_bar = cot[:, None] * (x @ sym.T)
+        x_bar = cot[:, None] * self.gradient(x)
         q_bar = 0.5 * np.einsum("b,bi,bj->ij", cot, x, x)
         return x_bar, q_bar.ravel()
 
@@ -143,7 +149,7 @@ def _mlp_init(rng: RngStream, shapes):
     return np.concatenate(chunks)
 
 
-class MLPDynamics:
+class MLPDynamics(FlatParams):
     """Pendulum dynamics network.
 
     A single tanh hidden layer maps (theta, theta_dot, torque) to a scalar
@@ -151,6 +157,8 @@ class MLPDynamics:
     theta' = theta + dt * theta_dot, theta_dot' = theta_dot + dt * accel.
     Angles are consumed raw; wrapping is the environment's business.
     """
+
+    PARAMS = ("W1", "b1", "W2", "b2")
 
     def __init__(self, hidden=12, dt=0.1, init_rng: RngStream | None = None):
         self.hidden = int(hidden)
@@ -164,23 +172,6 @@ class MLPDynamics:
 
     state_dim = 2
     control_dim = 1
-
-    @property
-    def num_params(self):
-        return self.W1.size + self.b1.size + self.W2.size + self.b2.size
-
-    def get_params(self):
-        return np.concatenate([self.W1.ravel(), self.b1, self.W2.ravel(), self.b2])
-
-    def set_params(self, vec):
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.num_params,):
-            raise ShapeError(f"expected {self.num_params} parameters, got {vec.shape}")
-        h = self.hidden
-        self.W1 = vec[:3 * h].reshape(h, 3).copy()
-        self.b1 = vec[3 * h:4 * h].copy()
-        self.W2 = vec[4 * h:5 * h].reshape(1, h).copy()
-        self.b2 = vec[5 * h:5 * h + 1].copy()
 
     def _accel(self, x, v):
         z = np.concatenate([x, v], axis=-1)
@@ -219,13 +210,15 @@ class MLPDynamics:
         return cls(hidden=cfg["hidden"], dt=cfg["dt"])
 
 
-class MLPCost:
+class MLPCost(FlatParams):
     """Pendulum cost network: q = ||g(theta, theta_dot)||^2 >= 0.
 
     One tanh hidden layer feeding a linear output vector; the squared
     norm keeps the cost non-negative by construction.  Terminal cost
     reuses the same network.
     """
+
+    PARAMS = ("W1", "b1", "W2", "b2")
 
     def __init__(self, hidden=12, outputs=12, init_rng: RngStream | None = None):
         self.hidden = int(hidden)
@@ -238,23 +231,6 @@ class MLPCost:
             self.set_params(_mlp_init(init_rng, [(self.hidden, 2), (self.outputs, self.hidden)]))
 
     state_dim = 2
-
-    @property
-    def num_params(self):
-        return self.W1.size + self.b1.size + self.W2.size + self.b2.size
-
-    def get_params(self):
-        return np.concatenate([self.W1.ravel(), self.b1, self.W2.ravel(), self.b2])
-
-    def set_params(self, vec):
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.num_params,):
-            raise ShapeError(f"expected {self.num_params} parameters, got {vec.shape}")
-        h, o = self.hidden, self.outputs
-        self.W1 = vec[:2 * h].reshape(h, 2).copy()
-        self.b1 = vec[2 * h:3 * h].copy()
-        self.W2 = vec[3 * h:3 * h + o * h].reshape(o, h).copy()
-        self.b2 = vec[3 * h + o * h:].copy()
 
     def _net(self, x):
         h = np.tanh(x @ self.W1.T + self.b1)
@@ -289,22 +265,15 @@ class MLPCost:
         return cls(hidden=cfg["hidden"], outputs=cfg["outputs"])
 
 
-class PendulumTeacherCost:
+class PendulumTeacherCost(FlatParams):
     """Ground-truth swing-up cost q = phi = (1 + cos theta)^2 + theta_dot^2.
 
     Parameter-free; zero exactly at the upright states (+-pi, 0).  Also
     exposes analytic gradient and Hessian for trajectory optimizers.
     """
 
+    PARAMS = ()
     state_dim = 2
-    num_params = 0
-
-    def get_params(self):
-        return np.zeros(0)
-
-    def set_params(self, vec):
-        if np.asarray(vec).size != 0:
-            raise ShapeError("teacher cost has no parameters")
 
     def running(self, x):
         return (1.0 + np.cos(x[:, 0])) ** 2 + x[:, 1] ** 2
@@ -312,10 +281,7 @@ class PendulumTeacherCost:
     terminal = running
 
     def running_vjp(self, x, cot):
-        x_bar = np.empty_like(x)
-        x_bar[:, 0] = cot * (-2.0 * np.sin(x[:, 0]) * (1.0 + np.cos(x[:, 0])))
-        x_bar[:, 1] = cot * 2.0 * x[:, 1]
-        return x_bar, np.zeros(0)
+        return cot[:, None] * self.gradient(x), np.zeros(0)
 
     terminal_vjp = running_vjp
 
@@ -341,7 +307,7 @@ class PendulumTeacherCost:
         return cls()
 
 
-class ControlCostWeight:
+class ControlCostWeight(FlatParams):
     """Positive-definite control weight R = L L' via a Cholesky factor.
 
     The strictly-lower entries of L are stored raw; diagonal entries are
@@ -350,16 +316,15 @@ class ControlCostWeight:
     triangle.
     """
 
+    PARAMS = ("_params",)
+
     def __init__(self, dim, params=None):
         self.dim = int(dim)
         self._rows, self._cols = np.tril_indices(self.dim)
         self._diag_mask = self._rows == self._cols
-        if params is None:
-            params = np.zeros(self._rows.size)  # L = I
-        self._params = np.asarray(params, dtype=float).copy()
-        if self._params.shape != (self._rows.size,):
-            raise ShapeError(
-                f"expected {self._rows.size} factor parameters, got {self._params.shape}")
+        self._params = np.zeros(self._rows.size)  # L = I
+        if params is not None:
+            self.set_params(params)
 
     @classmethod
     def from_matrix(cls, R):
@@ -373,19 +338,6 @@ class ControlCostWeight:
         p[obj._diag_mask] = np.log(p[obj._diag_mask])
         obj._params = p
         return obj
-
-    @property
-    def num_params(self):
-        return self._params.size
-
-    def get_params(self):
-        return self._params.copy()
-
-    def set_params(self, vec):
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != self._params.shape:
-            raise ShapeError(f"expected {self._params.size} parameters, got {vec.shape}")
-        self._params = vec.copy()
 
     def factor(self):
         L = np.zeros((self.dim, self.dim))
@@ -412,18 +364,6 @@ class ControlCostWeight:
     @classmethod
     def from_config(cls, cfg):
         return cls(cfg["m"])
-
-
-def modified_running_cost(q_val, u, du, R, nu):
-    """Running cost with the control and noise coupling terms.
-
-    q + u'Ru/2 + ((1 - 1/nu)/2) du'R du + u'R du, for one (u, du) pair.
-    """
-    u = np.asarray(u, dtype=float).ravel()
-    du = np.asarray(du, dtype=float).ravel()
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    return (q_val + 0.5 * (u @ R @ u)
-            + 0.5 * (1.0 - 1.0 / nu) * (du @ R @ du) + u @ R @ du)
 
 
 def control_penalty(useq, noise, R, nu):

@@ -347,11 +347,10 @@ def sample_loss_and_grad(models: ModelSet, hp: PIHyperParams, sample, regime,
     out, tape = pi_net_forward(x0, None, models, hp, rng, record=True)
     w_ctrl = loss_weights.get("ctrl", 1.0)
     w_cost = loss_weights.get("cost", 0.0)
+    l_ctrl = loss_ctrl(out, demo)
     if regime == "open_loop":
-        l_ctrl = loss_ctrl(out, demo)
         cot = (2.0 / demo.size) * (out - demo)
     else:
-        l_ctrl = loss_ctrl(out, demo)
         cot = np.zeros_like(out)
         cot[0] = (2.0 / demo.size) * (out[0] - demo)
     grad = pi_net_backward(tape, w_ctrl * cot, models)

@@ -180,6 +180,18 @@ def per_trajectory_noise(base_key, num_samples, horizon, dim, sigma):
     return out
 
 
+def modified_running_cost(q_val, u, du, R, nu):
+    """Running cost with the control and noise coupling terms.
+
+    q + u'Ru/2 + ((1 - 1/nu)/2) du'R du + u'R du, for one (u, du) pair.
+    """
+    u = np.asarray(u, dtype=float).ravel()
+    du = np.asarray(du, dtype=float).ravel()
+    R = np.atleast_2d(np.asarray(R, dtype=float))
+    return (q_val + 0.5 * (u @ R @ u)
+            + 0.5 * (1.0 - 1.0 / nu) * (du @ R @ du) + u @ R @ du)
+
+
 # Frozen hand-derived reference values.  Each is worked out from the
 # defining formula with plain arithmetic, independent of library code.
 

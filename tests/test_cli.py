@@ -560,10 +560,15 @@ def test_costmap_requires_pendulum(tmp_path):
 # --------------------------------------------------- config and exit codes
 
 
-def test_unknown_config_key_is_rejected(tmp_path):
-    cfg = write_cfg(tmp_path / "cfg.json", {"trainig": {"epochs": 2}})
-    assert run_cli("gen-data", "--config", cfg, "--out", tmp_path / "o",
-                   "--seed", "0") == 1
+def test_unknown_config_key_is_rejected(tmp_path, capsys):
+    cases = [("gen-data", {"trainig": {"epochs": 2}}, "trainig"),
+             ("gradcheck", {"gradcheck": {"hyper": {"warm_recurrences": 2}}},
+              "gradcheck.hyper.warm_recurrences")]
+    for command, tree, key in cases:
+        cfg = write_cfg(tmp_path / "cfg.json", tree)
+        assert run_cli(command, "--config", cfg, "--out", tmp_path / "o",
+                       "--seed", "0") == 1
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_lock_file_blocks_concurrent_use(tmp_path):

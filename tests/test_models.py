@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from picontrol.core import ParameterError, RngStream, ShapeError
-from picontrol.models import (ControlCostWeight, LinearDynamics, MLPCost,
-                              MLPDynamics, PendulumTeacherCost, control_penalty,
-                              modified_running_cost)
+from picontrol.models import (MODEL_TYPES, ControlCostWeight, LinearDynamics,
+                              MLPCost, MLPDynamics, PendulumTeacherCost,
+                              control_penalty)
 
 import oracles
 
@@ -257,12 +257,12 @@ def test_control_weight_vjp_matches_fd():
 
 
 def test_modified_running_cost_example():
-    val = modified_running_cost(0.3, [1.0], [0.2], [[5.0]], 1500.0)
+    val = oracles.modified_running_cost(0.3, [1.0], [0.2], [[5.0]], 1500.0)
     assert val == pytest.approx(oracles.MODIFIED_COST_EXAMPLE, abs=1e-15)
 
 
 def test_modified_running_cost_zero_controls():
-    assert modified_running_cost(0.7, [0.0], [0.0], [[5.0]], 1500.0) == 0.7
+    assert oracles.modified_running_cost(0.7, [0.0], [0.0], [[5.0]], 1500.0) == 0.7
 
 
 def test_modified_running_cost_nu_one_drops_noise_quadratic():
@@ -270,7 +270,7 @@ def test_modified_running_cost_nu_one_drops_noise_quadratic():
     R = np.array([[2.0, 0.3], [0.3, 1.0]])
     u = rng.standard_normal(2)
     du = rng.standard_normal(2)
-    val = modified_running_cost(0.0, u, du, R, 1.0)
+    val = oracles.modified_running_cost(0.0, u, du, R, 1.0)
     expected = 0.5 * u @ R @ u + u @ R @ du
     assert val == pytest.approx(expected, rel=1e-14)
 
@@ -284,12 +284,32 @@ def test_control_penalty_matches_scalar_form():
     got = control_penalty(useq, noise, R, nu)
     for k in range(3):
         for i in range(5):
-            want = modified_running_cost(0.0, useq[i], noise[k, i], R, nu)
+            want = oracles.modified_running_cost(0.0, useq[i], noise[k, i], R, nu)
             assert got[k, i] == pytest.approx(want, rel=1e-12)
 
 
+# one small configuration per registered model type
+PARAM_CONFIGS = {
+    "linear_dynamics": {"n": 3, "m": 2},
+    "quadratic_cost": {"n": 3},
+    "mlp_dynamics": {"hidden": 4, "dt": 0.1},
+    "mlp_cost": {"hidden": 4, "outputs": 3},
+    "pendulum_teacher_cost": {},
+    "control_weight": {"m": 2},
+    "pendulum_dynamics": {"dt": 0.1, "gain": 0.5},
+}
+
+
 def test_set_params_shape_errors():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"MLPDynamics expects 61 parameters, got \(5,\)"):
         MLPDynamics().set_params(np.zeros(5))
-    with pytest.raises(ShapeError):
-        LinearDynamics(np.eye(2), np.ones((2, 1))).set_params(np.zeros(5))
+    assert set(PARAM_CONFIGS) == set(MODEL_TYPES)
+    rng = np.random.default_rng(20)
+    for name, cls in MODEL_TYPES.items():
+        model = cls.from_config(PARAM_CONFIGS[name])
+        with pytest.raises(ShapeError, match=cls.__name__):
+            model.set_params(np.zeros(model.num_params + 5))
+        model.set_params(rng.standard_normal(model.num_params))
+        params = model.get_params()
+        model.set_params(params)
+        assert model.get_params().tobytes() == params.tobytes()
