@@ -10,7 +10,7 @@ import numpy as np
 from picontrol.controller import ModelSet, pi_net_backward, pi_net_forward
 from picontrol.core import ParamVector, PIHyperParams, RngStream, unpack_params
 from picontrol.models import ControlCostWeight, MLPCost, MLPDynamics
-from picontrol.training import loss_ctrl
+from picontrol.training import OpenLoopSample, loss_ctrl, sample_loss_and_grad
 
 rng = RngStream(3)
 models = ModelSet(MLPDynamics(hidden=4, dt=0.1, init_rng=rng.child(0)),
@@ -54,8 +54,14 @@ unpack_params(base, models.items())
 
 # -------------------------------------------------------- frozen segments
 
-# zeroing a segment's cotangent flow is how the training loop freezes
-# pre-trained dynamics; the reported gradient must be exactly zero
-frozen = pi_net_backward(tape, cotangent, models, freeze=("dynamics",))
+# the training loop freezes pre-trained dynamics by zeroing their segment
+# of each sample's gradient, after every loss term is added; RMSProp then
+# leaves those parameters bitwise unchanged, and the other segments keep
+# the gradient computed above
+_, frozen = sample_loss_and_grad(models, hp, OpenLoopSample(x0, demo),
+                                 "open_loop", noise, {"ctrl": 1.0},
+                                 freeze=("dynamics",))
+same = np.array_equal(frozen.segment("cost"), grad.segment("cost"))
 print(f"\nfrozen dynamics gradient, exact zeros: "
-      f"{np.count_nonzero(frozen.segment('dynamics')) == 0}")
+      f"{np.count_nonzero(frozen.segment('dynamics')) == 0}; "
+      f"cost gradient unchanged: {same}")

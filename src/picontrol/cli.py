@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from .controller import ModelSet, PathIntegralPlanner, pi_net_backward, pi_net_forward
+from .controller import ModelSet, PathIntegralPlanner, pi_net_forward
 from .core import (ConsistencyError, MemoryBudgetError, NumericError,
                    ParameterError, ParamVector, PIHyperParams, RngStream,
                    ShapeError, atomic_open, unpack_params)
@@ -39,7 +39,8 @@ from .training import (DEFAULT_MEMORY_BUDGET, MPCSample, OpenLoopSample,
                        build_pendulum_dataset, check_memory_budget,
                        evaluate_losses, init_linear_models,
                        init_pendulum_models, loss_ctrl, loss_dyn,
-                       pretrain_dynamics, train_pinet, write_history_csv)
+                       pretrain_dynamics, sample_loss_and_grad, train_pinet,
+                       write_history_csv)
 
 CHECKPOINT_VERSION = 1
 MANIFEST_VERSION = 1
@@ -97,6 +98,9 @@ def _require(condition, message):
 
 def _validate(cfg):
     hyper_from_cfg(cfg["hyper"])
+    warm = cfg["hyper"].get("warm_recurrences")
+    _require(warm is None or int(warm) >= 1,
+             f"hyper.warm_recurrences must be null or >= 1, got {warm!r}")
     tr = cfg["training"]
     _require(set(tr["loss_weights"]) <= {"ctrl", "cost"},
              "training.loss_weights keys must be ctrl/cost")
@@ -157,14 +161,12 @@ def load_config(path, profile, seed):
 
 
 def hyper_from_cfg(tree):
-    """(PIHyperParams, warm iteration count or None) from a config block."""
-    hp = PIHyperParams(lambda_=float(tree["lambda"]), nu=float(tree["nu"]),
-                       sigma=float(tree["sigma"]),
-                       num_samples=int(tree["num_samples"]),
-                       horizon=int(tree["horizon"]),
-                       recurrences=int(tree["recurrences"]))
-    warm = tree.get("warm_recurrences")
-    return hp, (None if warm is None else int(warm))
+    """PIHyperParams from a config block."""
+    return PIHyperParams(lambda_=float(tree["lambda"]), nu=float(tree["nu"]),
+                         sigma=float(tree["sigma"]),
+                         num_samples=int(tree["num_samples"]),
+                         horizon=int(tree["horizon"]),
+                         recurrences=int(tree["recurrences"]))
 
 
 # ------------------------------------------------------------------ artifacts
@@ -432,9 +434,10 @@ def _check_horizon(samples, hp, owner):
 
 
 def _pi_planner(models, hyper_tree):
-    """The path-integral planner over models with a config's hyper block."""
-    hp, warm = hyper_from_cfg(hyper_tree)
-    return PathIntegralPlanner(models, hp, warm_recurrences=warm)
+    """The path-integral planner over models with a config's hyper block;
+    warm_recurrences is a pendulum key, absent from linear blocks."""
+    return PathIntegralPlanner(models, hyper_from_cfg(hyper_tree),
+                               hyper_tree.get("warm_recurrences"))
 
 
 def _segment_sizes(models):
@@ -482,8 +485,7 @@ class LinearEnvironment:
             "hyper": {"lambda": 0.01, "nu": 1500.0, "sigma": 0.2,
                       "num_samples": 100 if paper else 50,
                       "horizon": horizon,
-                      "recurrences": 200 if paper else 50,
-                      "warm_recurrences": None},
+                      "recurrences": 200 if paper else 50},
             "models": {"dt": 0.01},
             "dataset": {"n_train": 950 if paper else 200,
                         "n_test": 50 if paper else 20,
@@ -747,7 +749,7 @@ def cmd_train(cfg, out_dir, force):
     refuse_existing(out_dir, artifacts, force)
     inputs = {}
     manifest, train_set, test_set = load_dataset(cfg, out_dir, env, inputs)
-    hp, _ = hyper_from_cfg(cfg["hyper"])
+    hp = hyper_from_cfg(cfg["hyper"])
     _check_horizon(train_set, hp, "controller")
     root = RngStream(cfg["seed"]).child(STREAM_TRAIN)
     started = time.time()
@@ -977,7 +979,7 @@ def cmd_gradcheck(cfg, out_dir, force):
     gc = cfg["gradcheck"]
     refuse_existing(out_dir, ["gradcheck_report.json",
                               "resolved_config.gradcheck.json"], force)
-    hp, _ = hyper_from_cfg(gc["hyper"])
+    hp = hyper_from_cfg(gc["hyper"])
     frozen = tuple(gc["freeze"])
     root = RngStream(cfg["seed"]).child(STREAM_GRAD)
     started = time.time()
@@ -995,10 +997,10 @@ def cmd_gradcheck(cfg, out_dir, force):
         demo = inst.child(4).generator().normal(size=(hp.horizon, 1))
         noise_stream = inst.child(5)
 
-        useq, tape = pi_net_forward(x0, None, models, hp, noise_stream,
-                                    record=True)
-        cotangent = (2.0 / demo.size) * (useq - demo)
-        grad = pi_net_backward(tape, cotangent, models, freeze=frozen)
+        # the training path, frozen segments included
+        _, grad = sample_loss_and_grad(models, hp, OpenLoopSample(x0, demo),
+                                       "open_loop", noise_stream,
+                                       {"ctrl": 1.0}, freeze=frozen)
         if gc["corrupt"] is not None:
             # negative-control knob: scales one segment's reverse pass
             grad.segment(gc["corrupt"])[:] *= 1.001

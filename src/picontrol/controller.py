@@ -312,15 +312,14 @@ def _kernel_backward(rec: KernelRecord, out_bar, models: ModelSet, hp,
     return u_bar
 
 
-def pi_net_backward(tape: RolloutTape, loss_cotangent, models: ModelSet,
-                    freeze=()) -> ParamVector:
+def pi_net_backward(tape: RolloutTape, loss_cotangent,
+                    models: ModelSet) -> ParamVector:
     """Reverse pass over a recorded forward.
 
     Args:
         tape: tape from pi_net_forward(..., record=True).
         loss_cotangent: (N, m) cotangent of the scalar loss on the final plan.
         models: must hold bit-identical parameters to the recording.
-        freeze: model ids whose gradient segments are forced to exactly zero.
 
     Returns:
         ParamVector gradient with the tape's layout.
@@ -338,8 +337,6 @@ def pi_net_backward(tape: RolloutTape, loss_cotangent, models: ModelSet,
     for rec in reversed(tape.records):
         u_bar = _kernel_backward(rec, u_bar, models, tape.hyper,
                                  weight_matrix, grads)
-    for name in freeze:
-        grads.segment(name)[:] = 0.0
     return grads
 
 
@@ -347,28 +344,30 @@ class PathIntegralPlanner:
     """Sampling controller for closed-loop use.
 
     Bundles models and hyper-parameters behind the planner protocol that
-    the simulator consumes: plan(x0, init, rng, recurrences).  A reduced
-    iteration count for warm-started steps can be configured; the
-    simulator reads it off the warm_recurrences attribute.
+    the simulator consumes: control_dim and plan(x0, init, rng).  A plan
+    seeded with init runs warm_recurrences iterations when that is set,
+    hp.recurrences otherwise.
     """
 
     def __init__(self, models: ModelSet, hp: PIHyperParams,
                  warm_recurrences=None):
+        if warm_recurrences is not None and int(warm_recurrences) < 1:
+            raise ParameterError("warm_recurrences must be None or >= 1, "
+                                 f"got {warm_recurrences}")
         self.models = models
         self.hp = hp
         self.warm_recurrences = warm_recurrences
-
-    @property
-    def horizon(self):
-        return self.hp.horizon
 
     @property
     def control_dim(self):
         return self.models.weight.dim
 
     def plan(self, x0, init=None, rng=None, recurrences=None):
+        """Plan from x0; recurrences overrides the iteration count."""
         if rng is None:
             rng = RngStream(0)
+        if recurrences is None and init is not None:
+            recurrences = self.warm_recurrences
         useq, _ = pi_net_forward(x0, init, self.models, self.hp, rng,
                                  record=False, recurrences=recurrences)
         return useq

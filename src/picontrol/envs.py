@@ -245,20 +245,17 @@ class SimulationResult:
     cost: float | None
 
 
-def mpc_simulate(planner, plant, x0, duration, warm_start=True, rng=None,
-                 cost_model=None, weight_matrix=None,
-                 success_fn=None) -> SimulationResult:
+def mpc_simulate(planner, plant, x0, duration, rng=None, cost_model=None,
+                 weight_matrix=None, success_fn=None) -> SimulationResult:
     """Receding-horizon loop: plan, apply the first control, step, repeat.
 
     Args:
-        planner: object with plan(x0, init, rng, recurrences), horizon and
-            control_dim; a warm_recurrences attribute (may be None) gives
-            the reduced iteration count used on warm-started steps.
+        planner: object with control_dim and plan(x0, init, rng); each plan
+            after the first is seeded with the previous plan shifted left
+            by one step, a zero control appended.
         plant: object with step(x, u) and dt.
         x0: initial plant state.
         duration: simulated seconds; steps = round(duration / plant.dt).
-        warm_start: seed each plan after the first with the previous plan
-            shifted left by one step, a zero control appended.
         rng: stream; step i plans with rng.child(i).
         cost_model, weight_matrix: when both given, the realized
             trajectory cost is computed, else the cost field is None.
@@ -275,16 +272,10 @@ def mpc_simulate(planner, plant, x0, duration, warm_start=True, rng=None,
     states[0] = x
     m = planner.control_dim
     controls = np.empty((steps, m))
-    prev = None
-    warm_iters = getattr(planner, "warm_recurrences", None)
+    init = None
     for i in range(steps):
-        if warm_start and prev is not None:
-            init = np.vstack([prev[1:], np.zeros((1, m))])
-            rec = warm_iters
-        else:
-            init, rec = None, None
-        plan = planner.plan(x, init=init, rng=rng.child(i), recurrences=rec)
-        prev = plan
+        plan = planner.plan(x, init=init, rng=rng.child(i))
+        init = np.vstack([plan[1:], np.zeros((1, m))])
         controls[i] = plan[0]
         x = plant.step(x, plan[0])
         if not np.all(np.isfinite(x)):

@@ -107,22 +107,24 @@ def sequence_cost(dynamics, cost, weight_matrix, x0, useq):
     return trajectory_cost(stacked, useq, cost, weight_matrix), stacked
 
 
+# Levenberg-Marquardt schedule of the iLQR value sweep: mu starts at
+# REG_INIT, a failed sweep or rejected step raises it to at least REG_MIN
+# and by REG_FACTOR, an accepted step lowers it, and above REG_MAX the
+# solve stops degraded.  The line search tries 1, 1/2, ..., 2^-(steps-1).
+REG_INIT, REG_MIN, REG_MAX, REG_FACTOR = 0.0, 1e-6, 1e10, 10.0
+BACKTRACKING_STEPS = 10
+
+
 @dataclass(frozen=True)
 class ILQRSettings:
     max_iterations: int = 50
     tol: float = 1e-6                # relative cost-decrease convergence
-    reg_init: float = 0.0
-    reg_min: float = 1e-6
-    reg_max: float = 1e10
-    reg_factor: float = 10.0
-    backtracking_steps: int = 10     # step sizes 1, 1/2, ..., 2^-(steps-1)
 
     def __post_init__(self):
-        if self.max_iterations < 1 or self.backtracking_steps < 1:
-            raise ParameterError("iteration counts must be >= 1")
-        if not (self.tol > 0 and self.reg_min > 0 and self.reg_max > self.reg_min
-                and self.reg_factor > 1 and self.reg_init >= 0):
-            raise ParameterError("regularization bounds must be positive")
+        if self.max_iterations < 1:
+            raise ParameterError("max_iterations must be >= 1")
+        if not self.tol > 0:
+            raise ParameterError("tol must be positive")
 
 
 @dataclass
@@ -194,7 +196,7 @@ def ilqr_solve(dynamics, cost, weight_matrix, x0, horizon,
     useq = np.zeros((horizon, m)) if init is None else np.array(init, dtype=float)
     J, states = sequence_cost(dynamics, cost, R, x0, useq)
     result = ILQRResult(useq, J, [J])
-    mu = s.reg_init
+    mu = REG_INIT
     for it in range(s.max_iterations):
         result.iterations = it + 1
         A, B = dynamics.jacobian(states[:-1], useq)
@@ -211,11 +213,11 @@ def ilqr_solve(dynamics, cost, weight_matrix, x0, horizon,
                     result.converged = True
                     return result
                 step = _line_search(dynamics, cost, R, states, useq, k, Kfb,
-                                    J, s.backtracking_steps)
+                                    J, BACKTRACKING_STEPS)
             if step is None:
                 # a failed sweep or a rejected step raises the regularization
-                mu = max(s.reg_min, mu * s.reg_factor)
-                if mu > s.reg_max:
+                mu = max(REG_MIN, mu * REG_FACTOR)
+                if mu > REG_MAX:
                     result.degraded = True
                     return result
         if step is not None:
@@ -223,7 +225,7 @@ def ilqr_solve(dynamics, cost, weight_matrix, x0, horizon,
             J, useq, states = step
             result.controls, result.cost = useq, J
             result.costs.append(J)
-            mu = mu / s.reg_factor if mu > s.reg_min else 0.0
+            mu = mu / REG_FACTOR if mu > REG_MIN else 0.0
             if drop <= s.tol * max(1.0, abs(J)):
                 result.converged = True
                 return result
@@ -253,25 +255,20 @@ def _line_search(dynamics, cost, R, states, useq, k, Kfb, J, steps):
 
 
 class LQRPlanner:
-    """Exact LQR plans from precomputed Riccati gains (planner protocol)."""
-
-    warm_recurrences = None
+    """Exact LQR plans from precomputed Riccati gains (planner protocol;
+    init and rng are ignored)."""
 
     def __init__(self, problem: LQRProblem):
         self.problem = problem
         self._gains, _ = riccati_gains(problem)
 
     @property
-    def horizon(self):
-        return self.problem.horizon
-
-    @property
     def control_dim(self):
         return self.problem.G.shape[1]
 
-    def plan(self, x0, init=None, rng=None, recurrences=None):
+    def plan(self, x0, init=None, rng=None):
         x = np.asarray(x0, dtype=float)
-        useq = np.empty((self.horizon, self.control_dim))
+        useq = np.empty((self.problem.horizon, self.control_dim))
         for i, K in enumerate(self._gains):
             u = -K @ x
             useq[i] = u
@@ -280,27 +277,22 @@ class LQRPlanner:
 
 
 class ILQRPlanner:
-    """Planner-protocol wrapper around ilqr_solve (warm-startable)."""
-
-    warm_recurrences = None
+    """Planner-protocol wrapper around ilqr_solve; init warm-starts the
+    solve and rng is ignored."""
 
     def __init__(self, dynamics, cost, weight_matrix, horizon,
                  settings: ILQRSettings | None = None):
         self.dynamics = dynamics
         self.cost = cost
         self.weight_matrix = np.atleast_2d(np.asarray(weight_matrix, dtype=float))
-        self._horizon = int(horizon)
+        self.horizon = int(horizon)
         self.settings = settings or ILQRSettings()
-
-    @property
-    def horizon(self):
-        return self._horizon
 
     @property
     def control_dim(self):
         return self.weight_matrix.shape[0]
 
-    def plan(self, x0, init=None, rng=None, recurrences=None):
+    def plan(self, x0, init=None, rng=None):
         result = ilqr_solve(self.dynamics, self.cost, self.weight_matrix,
-                            x0, self._horizon, self.settings, init=init)
+                            x0, self.horizon, self.settings, init=init)
         return result.controls

@@ -125,18 +125,17 @@ class OptimizerState:
 
 
 def rmsprop_step(params, grads, state: OptimizerState, decay=0.9,
-                 epsilon=1e-8, freeze_mask=None):
-    """One in-place RMSProp update; masked entries are left untouched."""
+                 epsilon=1e-8):
+    """One in-place RMSProp update; entries with a zero gradient keep their
+    value bitwise (p - lr * 0 / (sqrt(v) + eps) == p)."""
     if not (0.0 < decay < 1.0) or epsilon <= 0:
         raise ParameterError("decay must lie in (0, 1) and epsilon above 0")
     params = np.asarray(params)
     grads = np.asarray(grads, dtype=float)
     if params.shape != grads.shape or params.shape != state.v.shape:
         raise ShapeError("parameter/gradient/accumulator shapes differ")
-    live = slice(None) if freeze_mask is None else ~np.asarray(freeze_mask)
-    g = grads[live]
-    state.v[live] = decay * state.v[live] + (1.0 - decay) * g * g
-    params[live] -= state.lr * g / (np.sqrt(state.v[live]) + epsilon)
+    state.v[:] = decay * state.v + (1.0 - decay) * grads * grads
+    params -= state.lr * grads / (np.sqrt(state.v) + epsilon)
     return params
 
 
@@ -333,11 +332,16 @@ def _start_and_demo(sample, regime):
 
 
 def sample_loss_and_grad(models: ModelSet, hp: PIHyperParams, sample, regime,
-                         rng: RngStream, loss_weights, goals=None):
+                         rng: RngStream, loss_weights, goals=None, freeze=()):
     """Loss components and parameter gradient for one training sample.
 
     This is the exact code path train_pinet optimizes; tests validate its
     gradient against finite differences at tiny scale.
+
+    Args:
+        freeze: model ids whose gradient segments are set to exactly zero,
+            after every loss term is added; a zero gradient leaves the
+            parameters bitwise unchanged under rmsprop_step.
 
     Returns:
         (metrics dict with 'ctrl' and 'cost' losses, ParamVector gradient
@@ -359,6 +363,8 @@ def sample_loss_and_grad(models: ModelSet, hp: PIHyperParams, sample, regime,
         metrics["cost"] = loss_cost(models.cost, goals, x0[None, :])
         grad.segment("cost")[:] += w_cost * _loss_cost_param_grad(
             models.cost, goals, x0[None, :])
+    for name in freeze:
+        grad.segment(name)[:] = 0.0
     return metrics, grad
 
 
@@ -390,12 +396,6 @@ def evaluate_losses(models, hp, samples, regime, rng, loss_weights, goals=None):
     return {"ctrl": ctrl, "cost": cost, "total": total}
 
 
-def sample_losses(models, hp, sample, regime, rng, loss_weights, goals=None):
-    """Loss components for one sample without gradients."""
-    return _plan_losses(models, hp, [sample], regime, [rng], loss_weights,
-                        goals)[0]
-
-
 def _plan_losses(models, hp, samples, regime, streams, loss_weights, goals):
     """Loss components of each sample, planned together as one batch;
     sample i draws its planner noise from streams[i]."""
@@ -408,18 +408,6 @@ def _plan_losses(models, hp, samples, regime, streams, loss_weights, goals):
             for x0, demo, plan in zip(starts, demos, plans)]
 
 
-def _freeze_mask(layout, freeze):
-    mask = np.zeros(sum(length for _, _, length in layout), dtype=bool)
-    names = {name for name, _, _ in layout}
-    for name in freeze:
-        if name not in names:
-            raise ParameterError(f"unknown frozen segment {name!r}")
-    for name, offset, length in layout:
-        if name in freeze:
-            mask[offset:offset + length] = True
-    return mask
-
-
 def train_pinet(models: ModelSet, hp: PIHyperParams, train_set, test_set,
                 regime, epochs, batch_size, freeze=(), loss_weights=None,
                 goals=None, rng: RngStream | None = None, lr=1e-3,
@@ -429,8 +417,8 @@ def train_pinet(models: ModelSet, hp: PIHyperParams, train_set, test_set,
     """Imitation training of the full controller.
 
     Per batch: recorded forward per sample, weighted loss cotangent,
-    reverse pass, averaged gradient, RMSProp step skipping frozen
-    segments.  Per epoch: train/test evaluation (noise fixed per sample
+    reverse pass with frozen segments zeroed, averaged gradient, RMSProp
+    step.  Per epoch: train/test evaluation (noise fixed per sample
     index), plateau schedule on the train total.
 
     Args:
@@ -459,7 +447,9 @@ def train_pinet(models: ModelSet, hp: PIHyperParams, train_set, test_set,
     x0, _ = _start_and_demo(train_set[0], regime)
     check_memory_budget(hp, x0.size, models.weight.dim, memory_budget)
     layout = models.pack().layout
-    mask = _freeze_mask(layout, freeze)
+    unknown = set(freeze) - {name for name, _, _ in layout}
+    if unknown:
+        raise ParameterError(f"unknown frozen segments {sorted(unknown)}")
     if opt_state is None:
         state = OptimizerState(v=np.zeros(models.pack().size), lr=lr)
     else:
@@ -496,11 +486,11 @@ def train_pinet(models: ModelSet, hp: PIHyperParams, train_set, test_set,
             for j in idx:
                 _, grad = sample_loss_and_grad(
                     models, hp, train_set[j], regime,
-                    rng.child(epoch, int(j)), loss_weights, goals)
+                    rng.child(epoch, int(j)), loss_weights, goals, freeze)
                 batch_grad += grad.values
             batch_grad /= len(idx)
             params = models.pack().values
-            rmsprop_step(params, batch_grad, state, freeze_mask=mask)
+            rmsprop_step(params, batch_grad, state)
             unpack_params(ParamVector(layout, params), models.items())
         row = snapshot(epoch)
         history.append(row)

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from picontrol.cli import default_config, hyper_from_cfg, load_config, main
-from picontrol.controller import pi_net_backward
 from picontrol.core import RngStream
 from picontrol.envs import sample_linear_teacher
-from picontrol.training import check_memory_budget, tape_bytes
+from picontrol.training import (check_memory_budget, sample_loss_and_grad,
+                                tape_bytes)
 
 
 def run_cli(*argv):
@@ -216,7 +216,7 @@ def test_train_memory_budget_refusal_exits_3(linear_dataset, tmp_path):
 
 def test_paper_scale_linear_tape_fits_the_default_budget():
     cfg = default_config("linear", "paper")
-    hp, _ = hyper_from_cfg(cfg["hyper"])
+    hp = hyper_from_cfg(cfg["hyper"])
     state_dim, control_dim = sample_linear_teacher(RngStream(0)).G.shape
     # one 100 x 200 x 200 tape is ~0.27 GiB; the batch of 8 is never held
     assert tape_bytes(hp, state_dim, control_dim) == 290_240_000
@@ -500,11 +500,11 @@ def test_gradcheck_frozen_segment_has_exactly_zero_gradient(tmp_path):
 
 
 def test_gradcheck_measures_the_frozen_gradient(tmp_path, monkeypatch):
-    # negative control: a reverse pass that ignores freeze must show up
-    def ignore_freeze(tape, cotangent, models, freeze=()):
-        return pi_net_backward(tape, cotangent, models)
+    # negative control: a training gradient that ignores freeze must show up
+    def ignore_freeze(*args, freeze=(), **kwargs):
+        return sample_loss_and_grad(*args, **kwargs)
 
-    monkeypatch.setattr("picontrol.cli.pi_net_backward", ignore_freeze)
+    monkeypatch.setattr("picontrol.cli.sample_loss_and_grad", ignore_freeze)
     cfg = write_cfg(tmp_path / "cfg.json",
                     {"gradcheck": {"instances": 1, "freeze": ["dynamics"]}})
     out = tmp_path / "gc"
@@ -563,12 +563,26 @@ def test_costmap_requires_pendulum(tmp_path):
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
     cases = [("gen-data", {"trainig": {"epochs": 2}}, "trainig"),
              ("gradcheck", {"gradcheck": {"hyper": {"warm_recurrences": 2}}},
-              "gradcheck.hyper.warm_recurrences")]
+              "gradcheck.hyper.warm_recurrences"),
+             # linear plans never warm-start
+             ("gen-data", {"environment": "linear",
+                           "hyper": {"warm_recurrences": 2}},
+              "hyper.warm_recurrences")]
     for command, tree, key in cases:
         cfg = write_cfg(tmp_path / "cfg.json", tree)
         assert run_cli(command, "--config", cfg, "--out", tmp_path / "o",
                        "--seed", "0") == 1
         assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("warm", [0, -3])
+def test_non_positive_warm_recurrences_is_rejected(tmp_path, capsys, warm):
+    cfg = write_cfg(tmp_path / "cfg.json",
+                    {"hyper": {"warm_recurrences": warm}})
+    assert run_cli("gen-data", "--config", cfg, "--out", tmp_path / "o",
+                   "--seed", "0") == 1
+    assert "hyper.warm_recurrences" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_lock_file_blocks_concurrent_use(tmp_path):

@@ -11,7 +11,8 @@ from picontrol.core import (ConsistencyError, NumericError, ParameterError,
 from picontrol.envs import pendulum_teacher_models, sample_linear_teacher
 from picontrol.models import (ControlCostWeight, LinearDynamics, MLPCost,
                               MLPDynamics, QuadraticCost, control_penalty)
-from picontrol.training import MPCSample, evaluate_losses, sample_losses
+from picontrol.training import (PENDULUM_GOALS, MPCSample, evaluate_losses,
+                                loss_cost, sample_loss_and_grad)
 
 import oracles
 
@@ -376,16 +377,30 @@ def test_gradient_matches_finite_differences():
 
 
 def test_frozen_segment_gradient_is_exactly_zero():
+    # the training gradient with a cost-loss term, which freezing must
+    # zero as well as the reverse pass's share
     models = tiny_neural_models(137)
-    out, tape = pi_net_forward(np.array([0.5, 0.0]), None, models, TINY_HP,
-                               RngStream(139), record=True)
-    cot = np.ones_like(out)
-    grad = pi_net_backward(tape, cot, models, freeze=("dynamics",))
-    assert np.array_equal(grad.segment("dynamics"),
-                          np.zeros_like(grad.segment("dynamics")))
-    assert np.any(grad.segment("cost") != 0.0)
-    full = pi_net_backward(tape, cot, models)
-    assert np.array_equal(full.segment("cost"), grad.segment("cost"))
+    sample = MPCSample(np.array([0.5, 0.0]), np.array([0.3]), np.zeros(2))
+    weights = {"ctrl": 1.0, "cost": 1e-3}
+
+    def grad(freeze):
+        metrics, g = sample_loss_and_grad(models, TINY_HP, sample, "mpc",
+                                          RngStream(139), weights,
+                                          PENDULUM_GOALS, freeze)
+        assert metrics["cost"] > 0.0
+        return g
+
+    full = grad(())
+    assert all(np.all(full.segment(name) != 0.0)
+               for name in ("cost", "control_weight"))
+    for frozen in (("cost",), ("dynamics", "control_weight")):
+        got = grad(frozen)
+        for name, _, length in got.layout:
+            if name in frozen:
+                assert got.segment(name).tobytes() == bytes(8 * length)
+            else:
+                assert got.segment(name).tobytes() == \
+                    full.segment(name).tobytes()
 
 
 def test_stale_tape_is_rejected():
@@ -463,17 +478,17 @@ def test_evaluate_losses_over_chunks_equals_the_per_sample_mean_exactly():
     rng = RngStream(197)
     # chunks of hp.recurrences = 3 samples: 3 + 3 + 1
     got = evaluate_losses(models, hp, samples, "mpc", rng, weights, goals)
-    each = [sample_losses(models, hp, s, "mpc", rng.child(i), weights, goals)
-            for i, s in enumerate(samples)]
-    ctrl = sum(m["ctrl"] for m in each) / len(each)
-    cost = sum(m["cost"] for m in each) / len(each)
+    # each sample's losses are those of its own unbatched plan
+    ctrl = cost = 0.0
+    for i, sample in enumerate(samples):
+        plan, _ = pi_net_forward(sample.x, None, models, hp, rng.child(i))
+        ctrl += float(np.mean((plan[0] - sample.u) ** 2))
+        cost += loss_cost(models.cost, goals, sample.x[None, :])
+    ctrl /= len(samples)
+    cost /= len(samples)
     assert got["ctrl"] == ctrl
     assert got["cost"] == cost
     assert got["total"] == weights["ctrl"] * ctrl + weights["cost"] * cost
-    # and each sample's loss is that of its own unbatched plan
-    for i, (sample, metrics) in enumerate(zip(samples, each)):
-        plan, _ = pi_net_forward(sample.x, None, models, hp, rng.child(i))
-        assert metrics["ctrl"] == float(np.mean((plan[0] - sample.u) ** 2))
 
 
 # ---------------------------------------------------------------- planner
@@ -482,12 +497,28 @@ def test_evaluate_losses_over_chunks_equals_the_per_sample_mean_exactly():
 def test_planner_wraps_forward():
     models = tiny_neural_models(157)
     planner = PathIntegralPlanner(models, TINY_HP, warm_recurrences=1)
-    assert planner.horizon == TINY_HP.horizon
     assert planner.control_dim == 1
     rng = RngStream(163)
-    useq = planner.plan(np.array([0.2, -0.2]), rng=rng)
-    direct, _ = pi_net_forward(np.array([0.2, -0.2]), None, models, TINY_HP,
-                               rng)
+    x0 = np.array([0.2, -0.2])
+    useq = planner.plan(x0, rng=rng)
+    direct, _ = pi_net_forward(x0, None, models, TINY_HP, rng)
     assert np.array_equal(useq, direct)
-    short = planner.plan(np.array([0.2, -0.2]), rng=rng, recurrences=1)
+    short = planner.plan(x0, rng=rng, recurrences=1)
     assert not np.array_equal(useq, short)
+    # a seeded plan runs the warm count unless recurrences overrides it
+    init = np.vstack([useq[1:], np.zeros((1, 1))])
+    warm = planner.plan(x0, init, rng)
+    direct, _ = pi_net_forward(x0, init, models, TINY_HP, rng,
+                               recurrences=1)
+    assert warm.tobytes() == direct.tobytes()
+    full, _ = pi_net_forward(x0, init, models, TINY_HP, rng)
+    assert planner.plan(x0, init, rng, recurrences=2).tobytes() == \
+        full.tobytes()
+    assert not np.array_equal(warm, full)
+
+
+@pytest.mark.parametrize("warm", [0, -3])
+def test_planner_rejects_non_positive_warm_recurrences(warm):
+    with pytest.raises(ParameterError, match="warm_recurrences"):
+        PathIntegralPlanner(tiny_neural_models(157), TINY_HP,
+                            warm_recurrences=warm)

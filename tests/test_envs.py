@@ -10,7 +10,6 @@ from picontrol.envs import (LinearPlant, PendulumDynamics, PendulumPlant,
                             pendulum_teacher_models, sample_linear_teacher,
                             trajectory_cost, upright_success, wrap_angle,
                             write_trajectory_csv)
-from picontrol.experts import LQRPlanner, LQRProblem
 from picontrol.models import MODEL_TYPES, PendulumTeacherCost
 
 import oracles
@@ -19,14 +18,27 @@ import oracles
 class ZeroPlanner:
     """Constant zero plan; enough to exercise the simulation loop."""
 
-    warm_recurrences = None
-
     def __init__(self, horizon, control_dim):
         self.horizon = horizon
         self.control_dim = control_dim
 
-    def plan(self, x0, init=None, rng=None, recurrences=None):
+    def plan(self, x0, init=None, rng=None):
         return np.zeros((self.horizon, self.control_dim))
+
+
+class RecordingPlanner(ZeroPlanner):
+    """Returns a distinct plan per call and records what each call got."""
+
+    def __init__(self, horizon, control_dim):
+        super().__init__(horizon, control_dim)
+        self.calls = []
+
+    def plan(self, x0, init=None, rng=None):
+        plan = (len(self.calls) + 1.0) * np.arange(
+            1.0, 1.0 + self.horizon * self.control_dim).reshape(
+                self.horizon, self.control_dim)
+        self.calls.append((np.array(x0), init, rng, plan))
+        return plan
 
 
 # ------------------------------------------------------------------ angles
@@ -255,21 +267,23 @@ def test_simulation_collects_metrics():
     assert result.cost == pytest.approx(0.0, abs=1e-25)
 
 
-def test_warm_and_cold_simulation_agree_for_state_feedback_planner():
-    # An LQR planner ignores the warm-start seed, so both modes must
-    # produce bit-identical closed loops; this pins the loop plumbing
-    # (per-step rng children and shift bookkeeping) to be mode-invariant.
-    teacher = sample_linear_teacher(RngStream(19))
-    p = LQRProblem(teacher.F, teacher.G, teacher.Q, teacher.R, horizon=8)
-    planner = LQRPlanner(p)
-    plant = LinearPlant(teacher.F, teacher.G, dt=teacher.dt)
-    x0 = np.array([1.0, -0.4, 0.2, 0.8])
-    warm = mpc_simulate(planner, plant, x0, 0.2, warm_start=True,
-                        rng=RngStream(7))
-    cold = mpc_simulate(planner, plant, x0, 0.2, warm_start=False,
-                        rng=RngStream(7))
-    assert np.array_equal(warm.states, cold.states)
-    assert np.array_equal(warm.controls, cold.controls)
+def test_simulation_warm_starts_each_plan_from_the_shifted_previous_plan():
+    planner = RecordingPlanner(horizon=4, control_dim=2)
+    plant = LinearPlant(0.5 * np.eye(3), np.ones((3, 2)), dt=0.1)
+    rng = RngStream(7)
+    result = mpc_simulate(planner, plant, np.array([1.0, -0.4, 0.2]), 0.5,
+                          rng=rng)
+    assert len(planner.calls) == 5
+    for i, (x, init, stream, plan) in enumerate(planner.calls):
+        assert np.array_equal(x, result.states[i])
+        assert stream == rng.child(i)
+        assert np.array_equal(result.controls[i], plan[0])
+        if i == 0:
+            assert init is None
+        else:
+            previous = planner.calls[i - 1][3]
+            assert np.array_equal(init, np.vstack([previous[1:],
+                                                   np.zeros((1, 2))]))
 
 
 def test_simulation_reports_divergence_step():

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from picontrol.controller import ModelSet
+from picontrol.controller import ModelSet, pi_net_forward
 from picontrol.core import (MemoryBudgetError, NumericError, ParameterError,
                             PIHyperParams, RngStream, ShapeError)
 from picontrol.envs import pendulum_teacher_models, sample_linear_teacher
@@ -16,8 +16,8 @@ from picontrol.training import (MPCSample, OpenLoopSample, OptimizerState,
                                 evaluate_losses, loss_cost, loss_ctrl,
                                 loss_dyn, lr_plateau_schedule,
                                 pretrain_dynamics, rmsprop_step,
-                                sample_loss_and_grad, sample_losses,
-                                tape_bytes, train_pinet, write_history_csv)
+                                sample_loss_and_grad, tape_bytes, train_pinet,
+                                write_history_csv)
 
 import oracles
 from test_controller import TINY_HP, tiny_neural_models
@@ -158,13 +158,14 @@ def test_rmsprop_two_steps_match_hand_replication():
 
 
 def test_rmsprop_freeze_mask_keeps_entries_bitwise():
-    state = OptimizerState(v=np.zeros(4))
-    p = np.array([1.0, 2.0, 3.0, 4.0])
-    mask = np.array([True, False, True, False])
-    rmsprop_step(p, np.ones(4), state, freeze_mask=mask)
-    assert p[0] == 1.0 and p[2] == 3.0
-    assert state.v[0] == 0.0 and state.v[2] == 0.0
-    assert p[1] != 2.0 and p[3] != 4.0
+    # freezing is a zeroed gradient entry: this is how frozen segments stay
+    # put during training, with fresh and with decayed accumulators
+    state = OptimizerState(v=np.array([0.0, 0.0, 0.25, 0.25]))
+    p0 = np.array([1.0, -0.0, 3.0, 4.0])
+    p = rmsprop_step(p0.copy(), np.array([0.0, 1.0, 0.0, 1.0]), state)
+    assert p[[0, 2]].tobytes() == p0[[0, 2]].tobytes()
+    assert state.v[0] == 0.0
+    assert p[1] != p0[1] and p[3] != p0[3]
 
 
 def test_rmsprop_descends_a_quadratic_monotonically():
@@ -341,8 +342,10 @@ def test_training_gradient_matches_finite_differences_open_loop():
                - models.cost.running(sample.x0[None, :])[:, None])
     assert np.all(np.abs(margins) > 1e-3)  # keep clear of the ramp kink
 
-    _, grad = sample_loss_and_grad(models, TINY_HP, sample, "open_loop", rng,
-                                   weights, goals=PENDULUM_GOALS)
+    # evaluate_losses plans its sample 0 on rng.child(0)
+    _, grad = sample_loss_and_grad(models, TINY_HP, sample, "open_loop",
+                                   rng.child(0), weights,
+                                   goals=PENDULUM_GOALS)
 
     base = models.pack()
 
@@ -350,9 +353,8 @@ def test_training_gradient_matches_finite_differences_open_loop():
         probe = tiny_neural_models(11)
         from picontrol.core import ParamVector, unpack_params
         unpack_params(ParamVector(base.layout, vec.copy()), probe.items())
-        metrics = sample_losses(probe, TINY_HP, sample, "open_loop", rng,
-                                weights, goals=PENDULUM_GOALS)
-        return weights["ctrl"] * metrics["ctrl"] + weights["cost"] * metrics["cost"]
+        return evaluate_losses(probe, TINY_HP, [sample], "open_loop", rng,
+                               weights, goals=PENDULUM_GOALS)["total"]
 
     fd = oracles.central_difference(total, base.values)
     rel = oracles.relative_errors(grad.values, fd, floor=1e-7)
@@ -365,15 +367,16 @@ def test_training_gradient_matches_finite_differences_mpc():
     sample = MPCSample(np.array([-0.6, 0.3]), np.array([0.25]), np.zeros(2))
     weights = {"ctrl": 1.0, "cost": 0.0}
     rng = RngStream(22)
-    _, grad = sample_loss_and_grad(models, TINY_HP, sample, "mpc", rng, weights)
+    _, grad = sample_loss_and_grad(models, TINY_HP, sample, "mpc",
+                                   rng.child(0), weights)
     base = models.pack()
 
     def total(vec):
         probe = tiny_neural_models(21)
         from picontrol.core import ParamVector, unpack_params
         unpack_params(ParamVector(base.layout, vec.copy()), probe.items())
-        metrics = sample_losses(probe, TINY_HP, sample, "mpc", rng, weights)
-        return metrics["ctrl"]
+        return evaluate_losses(probe, TINY_HP, [sample], "mpc", rng,
+                               weights)["ctrl"]
 
     fd = oracles.central_difference(total, base.values)
     rel = oracles.relative_errors(grad.values, fd, floor=1e-7)
@@ -394,8 +397,8 @@ def test_sample_losses_rejects_unknown_regime():
     models = tiny_neural_models(1)
     sample = OpenLoopSample(np.zeros(2), np.zeros((TINY_HP.horizon, 1)))
     with pytest.raises(ParameterError):
-        sample_losses(models, TINY_HP, sample, "closed_loop", RngStream(0),
-                      {"ctrl": 1.0})
+        evaluate_losses(models, TINY_HP, [sample], "closed_loop",
+                        RngStream(0), {"ctrl": 1.0})
 
 
 def test_evaluation_is_order_independent():
@@ -412,10 +415,10 @@ def test_evaluation_is_order_independent():
                              weights, goals=PENDULUM_GOALS)
     assert first == second
     # the mean equals per-sample losses accumulated in any traversal order
-    parts = [sample_losses(models, TINY_HP, s, "open_loop", rng.child(i),
-                           weights, goals=PENDULUM_GOALS)
+    parts = [loss_ctrl(pi_net_forward(s.x0, None, models, TINY_HP,
+                                      rng.child(i))[0], s.useq)
              for i, s in enumerate(samples)]
-    manual = sum(p["ctrl"] for p in reversed(parts)) / len(parts)
+    manual = sum(reversed(parts)) / len(parts)
     assert np.isclose(manual, first["ctrl"], rtol=1e-12)
 
 
@@ -425,13 +428,14 @@ def test_one_epoch_on_one_sample_decreases_its_loss():
                             0.05 * np.ones((TINY_HP.horizon, 1)))
     weights = {"ctrl": 1.0}
     train_rng = RngStream(18)
-    # the loss seen by the single training step uses the epoch-1 stream
-    before = sample_losses(models, TINY_HP, sample, "open_loop",
-                           train_rng.child(1, 0), weights)["ctrl"]
+    # the loss seen by the single training step uses the epoch-1 stream,
+    # train_rng.child(1, 0), which is sample 0's under train_rng.child(1)
+    before = evaluate_losses(models, TINY_HP, [sample], "open_loop",
+                             train_rng.child(1), weights)["ctrl"]
     train_pinet(models, TINY_HP, [sample], [], "open_loop", epochs=1,
                 batch_size=1, rng=train_rng, lr=1e-5)
-    after = sample_losses(models, TINY_HP, sample, "open_loop",
-                          train_rng.child(1, 0), weights)["ctrl"]
+    after = evaluate_losses(models, TINY_HP, [sample], "open_loop",
+                            train_rng.child(1), weights)["ctrl"]
     assert after < before
 
 
