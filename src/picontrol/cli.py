@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 validation error, 2 numeric failure,
 import argparse
 import contextlib
 import copy
-import csv
 import hashlib
 import json
 import math
@@ -29,7 +28,8 @@ import numpy as np
 from .controller import ModelSet, PathIntegralPlanner, pi_net_forward
 from .core import (ConsistencyError, MemoryBudgetError, NumericError,
                    ParameterError, ParamVector, PIHyperParams, RngStream,
-                   ShapeError, atomic_open, unpack_params)
+                   ShapeError, atomic_open, read_csv, require_count,
+                   unpack_params, write_csv)
 from .envs import (benchmark_runs, pendulum_expert, pendulum_teacher_models,
                    sample_linear_teacher, write_trajectory_csv)
 from .experts import LQRPlanner, LQRProblem, sequence_cost
@@ -96,46 +96,54 @@ def _require(condition, message):
         raise ParameterError(message)
 
 
+def _validate_hyper(tree, prefix):
+    # PIHyperParams messages start with the field name, the config key
+    try:
+        hyper_from_cfg(tree)
+    except ParameterError as err:
+        raise ParameterError(f"{prefix}.{err}") from None
+
+
 def _validate(cfg):
-    hyper_from_cfg(cfg["hyper"])
+    _validate_hyper(cfg["hyper"], "hyper")
     warm = cfg["hyper"].get("warm_recurrences")
-    _require(warm is None or int(warm) >= 1,
-             f"hyper.warm_recurrences must be null or >= 1, got {warm!r}")
+    if warm is not None:
+        require_count("hyper.warm_recurrences", warm, 1)
     tr = cfg["training"]
     _require(set(tr["loss_weights"]) <= {"ctrl", "cost"},
              "training.loss_weights keys must be ctrl/cost")
     _require(set(tr["freeze"]) <= set(SEGMENTS),
              f"training.freeze entries must be among {SEGMENTS}")
-    _require(int(tr["epochs"]) >= 0 and int(tr["batch_size"]) >= 1,
-             "training.epochs must be >= 0 and batch_size >= 1")
+    require_count("training.epochs", tr["epochs"], 0)
+    require_count("training.batch_size", tr["batch_size"], 1)
     if tr["pretrain"] is not None:
         _require(set(tr["pretrain"]) <= {"epochs", "batch_size", "lr"},
                  "training.pretrain keys must be epochs/batch_size/lr")
-    _require(int(cfg["memory_budget"]) > 0, "memory_budget must be positive")
+    require_count("memory_budget", cfg["memory_budget"], 1)
     for key, value in cfg["dataset"].items():
         _require(float(value) >= 0, f"dataset.{key} must be non-negative")
     gc = cfg["gradcheck"]
-    _require(int(gc["instances"]) >= 1, "gradcheck.instances must be >= 1")
+    require_count("gradcheck.instances", gc["instances"], 1)
     _require(gc["tolerance"] > 0 and gc["floor"] > 0,
              "gradcheck tolerance and floor must be positive")
     _require(gc["corrupt"] is None or gc["corrupt"] in SEGMENTS,
              f"gradcheck.corrupt must be null or one of {SEGMENTS}")
     _require(set(gc["freeze"]) <= set(SEGMENTS),
              f"gradcheck.freeze entries must be among {SEGMENTS}")
-    hyper_from_cfg(gc["hyper"])
+    _validate_hyper(gc["hyper"], "gradcheck.hyper")
     cm = cfg["costmap"]
     _require(cm["source"] in ("teacher", "checkpoint"),
              "costmap.source must be teacher or checkpoint")
-    _require(int(cm["theta_cells"]) >= 2 and int(cm["theta_dot_cells"]) >= 2,
-             "costmap grid needs at least 2 cells per axis")
+    require_count("costmap.theta_cells", cm["theta_cells"], 2)
+    require_count("costmap.theta_dot_cells", cm["theta_dot_cells"], 2)
     sim = cfg["simulate"]
-    _require(int(sim["runs"]) >= 1, "simulate.runs must be >= 1")
+    require_count("simulate.runs", sim["runs"], 1)
     _require(sim["controller"] in ("expert", "pi_teacher", "checkpoint"),
              "simulate.controller must be expert, pi_teacher or checkpoint")
     if cfg["evaluation"] is not None:
-        _require(int(cfg["evaluation"]["runs"]) >= 1
-                 and float(cfg["evaluation"]["duration"]) > 0,
-                 "evaluation.runs must be >= 1 and duration positive")
+        require_count("evaluation.runs", cfg["evaluation"]["runs"], 1)
+        _require(float(cfg["evaluation"]["duration"]) > 0,
+                 "evaluation.duration must be positive")
 
 
 def load_config(path, profile, seed):
@@ -164,9 +172,9 @@ def hyper_from_cfg(tree):
     """PIHyperParams from a config block."""
     return PIHyperParams(lambda_=float(tree["lambda"]), nu=float(tree["nu"]),
                          sigma=float(tree["sigma"]),
-                         num_samples=int(tree["num_samples"]),
-                         horizon=int(tree["horizon"]),
-                         recurrences=int(tree["recurrences"]))
+                         num_samples=tree["num_samples"],
+                         horizon=tree["horizon"],
+                         recurrences=tree["recurrences"])
 
 
 # ------------------------------------------------------------------ artifacts
@@ -197,16 +205,11 @@ def write_json(path, tree):
 
 
 def read_json(path):
-    """A JSON file's tree and the sha256 of the bytes it was parsed from."""
+    """A JSON input's tree and its provenance entry (path, sha256 of the
+    bytes the tree was parsed from)."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return json.loads(data), hashlib.sha256(data).hexdigest()
-
-
-def read_json_input(path):
-    """A JSON input's tree and its provenance entry (path, sha256 of file)."""
-    tree, digest = read_json(path)
-    return tree, (path, digest)
+    return json.loads(data), (path, hashlib.sha256(data).hexdigest())
 
 
 @contextlib.contextmanager
@@ -307,7 +310,7 @@ def _load_models(cfg, out_dir, default_name, inputs):
     """(models, checkpoint tree) of paths.checkpoint, or of default_name in
     out_dir, checked against the config; records provenance in inputs."""
     path = cfg["paths"]["checkpoint"] or os.path.join(out_dir, default_name)
-    tree, inputs["checkpoint"] = read_json_input(path)
+    tree, inputs["checkpoint"] = read_json(path)
     _require(isinstance(tree, dict) and "version" in tree,
              f"{path} is not a checkpoint file")
     if tree["version"] != CHECKPOINT_VERSION:
@@ -324,23 +327,18 @@ def _load_models(cfg, out_dir, default_name, inputs):
 
 
 def write_linear_dataset(path, samples):
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        if not samples:
-            return
+    header = None
+    if samples:
         n = samples[0].x0.size
         horizon, m = samples[0].useq.shape
-        writer.writerow([f"x0_{j}" for j in range(n)]
-                        + [f"u_{t}_{j}" for t in range(horizon)
-                           for j in range(m)])
-        for sample in samples:
-            writer.writerow([repr(float(v)) for v in sample.x0]
-                            + [repr(float(v)) for v in sample.useq.ravel()])
+        header = ([f"x0_{j}" for j in range(n)]
+                  + [f"u_{t}_{j}" for t in range(horizon) for j in range(m)])
+    write_csv(path, header, (sample.x0.tolist() + sample.useq.ravel().tolist()
+                             for sample in samples))
 
 
 def read_linear_dataset(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = read_csv(path)
     if not rows:
         return []
     header = rows[0]
@@ -353,35 +351,26 @@ def read_linear_dataset(path):
     return samples
 
 
+PENDULUM_COLUMNS = ("traj", "step", "theta", "theta_dot", "torque",
+                    "theta_next", "theta_dot_next")
+
+
 def write_pendulum_dataset(path, samples):
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        if not samples:
-            return
-        writer.writerow(["traj", "step", "theta", "theta_dot", "torque",
-                         "theta_next", "theta_dot_next"])
-        traj = step = 0
-        previous = None
-        for sample in samples:
-            # a new trajectory starts wherever the chain of states breaks
-            if previous is not None and not np.array_equal(sample.x, previous):
-                traj += 1
-                step = 0
-            writer.writerow([traj, step]
-                            + [repr(float(v)) for v in sample.x]
-                            + [repr(float(sample.u[0]))]
-                            + [repr(float(v)) for v in sample.x_next])
-            previous = sample.x_next
-            step += 1
+    rows, traj, step = [], 0, 0
+    for i, sample in enumerate(samples):
+        # a new trajectory starts wherever the chain of states breaks
+        if i and not np.array_equal(sample.x, samples[i - 1].x_next):
+            traj += 1
+            step = 0
+        rows.append([traj, step] + sample.x.tolist() + [sample.u[0]]
+                    + sample.x_next.tolist())
+        step += 1
+    write_csv(path, PENDULUM_COLUMNS if samples else None, rows)
 
 
 def read_pendulum_dataset(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        return []
     samples = []
-    for row in rows[1:]:
+    for row in read_csv(path)[1:]:
         values = [float(v) for v in row[2:]]
         samples.append(MPCSample(np.array(values[0:2]),
                                  np.array(values[2:3]),
@@ -391,7 +380,7 @@ def read_pendulum_dataset(path):
 
 def load_manifest(ds_dir, environment, inputs):
     """The checked manifest of the dataset in ds_dir; records provenance."""
-    manifest, inputs["dataset_manifest"] = read_json_input(
+    manifest, inputs["dataset_manifest"] = read_json(
         os.path.join(ds_dir, "manifest.json"))
     _require(manifest.get("version") == MANIFEST_VERSION,
              f"dataset manifest in {ds_dir} has unsupported version "
@@ -1107,12 +1096,9 @@ def cmd_export_costmap(cfg, out_dir, force):
     states = np.column_stack([grid_theta.ravel(), grid_dot.ravel()])
     values = cost.running(states)
 
-    with atomic_open(os.path.join(out_dir, "costmap.csv"), newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "theta_dot", "cost"])
-        for row, value in zip(states, values):
-            writer.writerow([repr(float(row[0])), repr(float(row[1])),
-                             repr(float(value))])
+    write_csv(os.path.join(out_dir, "costmap.csv"),
+              ["theta", "theta_dot", "cost"],
+              np.column_stack([states, values]).tolist())
     write_resolved_config(out_dir, "export-costmap", cfg, inputs)
     print(f"wrote {states.shape[0]} grid rows "
           f"({int(cm['theta_cells'])} x {int(cm['theta_dot_cells'])})")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import (ConsistencyError, NumericError, ParameterError,
                    ParamVector, PIHyperParams, RngStream, ShapeError,
-                   gaussian_noise, pack_params)
+                   gaussian_noise, pack_params, require_count)
 from .models import control_penalty
 
 
@@ -354,9 +354,8 @@ class PathIntegralPlanner:
 
     def __init__(self, models: ModelSet, hp: PIHyperParams,
                  warm_recurrences=None):
-        if warm_recurrences is not None and int(warm_recurrences) < 1:
-            raise ParameterError("warm_recurrences must be None or >= 1, "
-                                 f"got {warm_recurrences}")
+        if warm_recurrences is not None:
+            require_count("warm_recurrences", warm_recurrences, 1)
         self.models = models
         self.hp = hp
         self.warm_recurrences = warm_recurrences

@@ -7,6 +7,7 @@ reproducible bit-for-bit regardless of how rollouts are scheduled.
 """
 
 import contextlib
+import csv
 import os
 from dataclasses import dataclass, field
 
@@ -61,8 +62,16 @@ class PIHyperParams:
         if not (self.sigma > 0 and np.isfinite(self.sigma)):
             raise ParameterError(f"sigma must be positive, got {self.sigma}")
         for name in ("num_samples", "horizon", "recurrences"):
-            if int(getattr(self, name)) < 1:
-                raise ParameterError(f"{name} must be >= 1")
+            require_count(name, getattr(self, name), 1)
+
+
+def require_count(name, value, least):
+    """Raise ParameterError unless value is a Python or numpy integer (not
+    a bool, not an integral float) >= least."""
+    if not (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool) and value >= least):
+        raise ParameterError(
+            f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -232,3 +241,29 @@ def atomic_open(path, newline=None):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def _cell(value):
+    # repr of a float reads back to the same bits; None is a missing value
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return "" if value is None else value
+
+
+def write_csv(path, header, rows):
+    """Write a CSV artifact through atomic_open: float cells as
+    ``repr(float(v))``, None as an empty cell, ints and strings as ``csv``
+    formats them.  header=None writes a zero-byte file (an empty split)."""
+    with atomic_open(path, newline="") as fh:
+        if header is None:
+            return
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(value) for value in row] for row in rows)
+
+
+def read_csv(path):
+    """Rows of a CSV artifact as lists of strings, header first; [] when
+    the file is empty."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))

@@ -8,13 +8,12 @@ Runs are scored by experts.trajectory_cost, the planners' own objective,
 re-exported here.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
-from .core import NumericError, RngStream, atomic_open
+from .core import NumericError, RngStream, write_csv
 from .experts import ILQRPlanner, ILQRSettings, trajectory_cost
 from .models import (MODEL_TYPES, ControlCostWeight, FlatParams,
                      LinearDynamics, PendulumTeacherCost, QuadraticCost)
@@ -121,11 +120,6 @@ class PendulumDynamics(FlatParams):
 
 
 MODEL_TYPES["pendulum_dynamics"] = PendulumDynamics
-
-
-def pendulum_step(x, u, dt=0.1, gain=0.5):
-    """One plant step: RK4 integration followed by the angle wrap."""
-    return PendulumPlant(dt=dt, gain=gain).step(x, u)
 
 
 class PendulumPlant:
@@ -332,14 +326,7 @@ def write_trajectory_csv(path, states, controls, dt, cost_model=None):
               + [f"u{j}" for j in range(m)] + ["cost"])
     running = cost_model.running(states[:-1]) if (cost_model and T) else None
     terminal = cost_model.terminal(states[-1:])[0] if cost_model else None
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(T):
-            row = [repr(i * dt)] + [repr(float(v)) for v in states[i]]
-            row += [repr(float(v)) for v in controls[i]]
-            row.append(repr(float(running[i])) if running is not None else "")
-            writer.writerow(row)
-        row = [repr(T * dt)] + [repr(float(v)) for v in states[T]] + [""] * m
-        row.append(repr(float(terminal)) if terminal is not None else "")
-        writer.writerow(row)
+    rows = [[i * dt] + states[i].tolist() + controls[i].tolist()
+            + [None if running is None else running[i]] for i in range(T)]
+    rows.append([T * dt] + states[T].tolist() + [None] * m + [terminal])
+    write_csv(path, header, rows)

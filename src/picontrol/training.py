@@ -14,8 +14,8 @@ import numpy as np
 
 from .controller import ModelSet, pi_net_backward, pi_net_forward
 from .core import (MemoryBudgetError, NumericError, ParamVector, ParameterError,
-                   PIHyperParams, RngStream, ShapeError, atomic_open,
-                   unpack_params)
+                   PIHyperParams, RngStream, ShapeError, unpack_params,
+                   write_csv)
 from .envs import (PENDULUM_EXPERT_HORIZON, benchmark_runs, pendulum_expert,
                    sample_linear_teacher, wrap_angle)
 from .experts import LQRPlanner, LQRProblem
@@ -509,16 +509,7 @@ def train_pinet(models: ModelSet, hp: PIHyperParams, train_set, test_set,
 
 def write_history_csv(path, history):
     """Write per-epoch rows to CSV; missing values become empty cells."""
-    import csv
-
     if not history:
         raise ParameterError("history is empty")
     fields = list(history[0].keys())
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in history:
-            writer.writerow(["" if row[k] is None
-                             else (repr(float(row[k])) if isinstance(row[k], float)
-                                   else row[k])
-                             for k in fields])
+    write_csv(path, fields, ([row[k] for k in fields] for row in history))

@@ -19,7 +19,7 @@ from picontrol.controller import (ModelSet, PathIntegralPlanner,
                                   update_controls)
 from picontrol.core import (ParamVector, PIHyperParams, RngStream,
                             gaussian_noise, unpack_params)
-from picontrol.envs import (benchmark_runs, pendulum_step,
+from picontrol.envs import (PendulumPlant, benchmark_runs,
                             pendulum_teacher_models, sample_linear_teacher)
 from picontrol.experts import (ILQRSettings, LQRProblem, ilqr_solve,
                                lqr_solve)
@@ -264,14 +264,14 @@ def test_criterion_07_numerical_environment_invariants():
     assert worst_orth < 1e-10
 
     # hanging at rest with zero torque is a bitwise fixed point
-    assert np.array_equal(pendulum_step(np.array([0.0, 0.0]), 0.0),
+    assert np.array_equal(PendulumPlant().step(np.array([0.0, 0.0]), 0.0),
                           np.zeros(2))
 
     # one integrator step agrees with a 1000-substep reference
     worst_step = 0.0
     for state, torque in [((np.pi / 2, 0.0), 0.0), ((0.3, -0.5), 1.0),
                           ((-2.0, 1.0), -2.0), ((3.0, 0.5), 0.7)]:
-        got = pendulum_step(np.array(state), torque)
+        got = PendulumPlant().step(np.array(state), torque)
         ref = oracles.fine_pendulum_step(np.array(state), torque)
         worst_step = max(worst_step, float(np.max(np.abs(got - ref))))
     assert worst_step < 1e-5

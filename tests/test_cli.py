@@ -106,6 +106,27 @@ def test_gen_data_writes_manifest_and_splits(linear_dataset):
     assert rows[0][:2] == ["x0_0", "x0_1"]
 
 
+def test_pendulum_dataset_numbers_trajectories_and_round_trips(tmp_path):
+    from picontrol.cli import read_pendulum_dataset, write_pendulum_dataset
+    from picontrol.training import MPCSample
+    a, b, c = np.array([0.1, -0.0]), np.array([0.1 + 0.2, 5e-324]), \
+        np.array([-2.5, 1e300])
+    # a -> b -> c, then a new trajectory from a
+    samples = [MPCSample(a, np.array([0.5]), b),
+               MPCSample(b, np.array([-0.25]), c),
+               MPCSample(a, np.array([1.0]), c)]
+    path = tmp_path / "data.csv"
+    write_pendulum_dataset(path, samples)
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
+    assert [row[:2] for row in rows[1:]] == [["0", "0"], ["0", "1"],
+                                             ["1", "0"]]
+    for got, want in zip(read_pendulum_dataset(path), samples):
+        for field in ("x", "u", "x_next"):
+            assert getattr(got, field).tobytes() == \
+                getattr(want, field).tobytes()
+
+
 def test_gen_data_rerun_is_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path / "cfg.json", PENDULUM_TINY)
     a, b = tmp_path / "a", tmp_path / "b"
@@ -313,7 +334,7 @@ def test_read_json_digests_the_bytes_it_parses(tmp_path, monkeypatch):
         return real_open(*args, **kwargs)
 
     monkeypatch.setattr(cli, "open", counting_open, raising=False)
-    tree, (source, digest) = cli.read_json_input(str(path))
+    tree, (source, digest) = cli.read_json(str(path))
     assert tree == {"a": [1, 2.5]}
     assert source == str(path)
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
@@ -582,6 +603,28 @@ def test_non_positive_warm_recurrences_is_rejected(tmp_path, capsys, warm):
     assert run_cli("gen-data", "--config", cfg, "--out", tmp_path / "o",
                    "--seed", "0") == 1
     assert "hyper.warm_recurrences" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("tree, key", [
+    ({"hyper": {"recurrences": 2.9}}, "hyper.recurrences"),
+    ({"hyper": {"num_samples": True}}, "hyper.num_samples"),
+    ({"hyper": {"warm_recurrences": 1.5}}, "hyper.warm_recurrences"),
+    ({"gradcheck": {"hyper": {"horizon": 3.0}}}, "gradcheck.hyper.horizon"),
+    ({"training": {"epochs": "5"}}, "training.epochs"),
+    ({"training": {"epochs": None}}, "training.epochs"),
+    ({"training": {"batch_size": 2.5}}, "training.batch_size"),
+    ({"memory_budget": None}, "memory_budget"),
+    ({"gradcheck": {"instances": 2.0}}, "gradcheck.instances"),
+    ({"costmap": {"theta_dot_cells": "5"}}, "costmap.theta_dot_cells"),
+    ({"simulate": {"runs": 1.5}}, "simulate.runs"),
+    ({"evaluation": {"runs": None}}, "evaluation.runs"),
+])
+def test_non_integer_counts_exit_1(tmp_path, capsys, tree, key):
+    cfg = write_cfg(tmp_path / "cfg.json", tree)
+    assert run_cli("gen-data", "--config", cfg, "--out", tmp_path / "o",
+                   "--seed", "0") == 1
+    assert f"{key} must be an integer" in capsys.readouterr().err
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 

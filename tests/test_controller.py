@@ -517,7 +517,7 @@ def test_planner_wraps_forward():
     assert not np.array_equal(warm, full)
 
 
-@pytest.mark.parametrize("warm", [0, -3])
+@pytest.mark.parametrize("warm", [0, -3, 1.5, True])
 def test_planner_rejects_non_positive_warm_recurrences(warm):
     with pytest.raises(ParameterError, match="warm_recurrences"):
         PathIntegralPlanner(tiny_neural_models(157), TINY_HP,

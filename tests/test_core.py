@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import oracles
 from picontrol.core import (ParameterError, ParamVector, PIHyperParams,
                             RngStream, ShapeError, gaussian_noise,
-                            pack_params, unpack_params)
+                            pack_params, read_csv, unpack_params, write_csv)
 
 
 class _FakeModel:
@@ -90,6 +91,12 @@ def test_hyperparams_validation():
         PIHyperParams(0.01, 1500.0, -0.2, 100, 200, 200)
     with pytest.raises(ParameterError):
         PIHyperParams(0.01, 1500.0, 0.2, 0, 200, 200)
+    # counts are integers: fractions, bools and numeric strings are refused
+    for bad in (2.9, 2.0, True, "5", None):
+        with pytest.raises(ParameterError, match="recurrences must be an int"):
+            PIHyperParams(0.01, 1500.0, 0.2, 100, 200, bad)
+    numpy_count = PIHyperParams(0.01, 1500.0, 0.2, np.int64(4), 200, 200)
+    assert numpy_count.num_samples == 4
 
 
 def test_noise_is_deterministic_per_stream():
@@ -175,3 +182,43 @@ def test_rng_stream_children_are_distinct():
         vals = base.child(i).generator().random(3)
         seen.add(tuple(vals))
     assert len(seen) == 50
+
+
+# ------------------------------------------------------------ csv artifacts
+
+
+def test_csv_cells_round_trip_bitwise(tmp_path):
+    floats = [-0.0, 5e-324, 0.1 + 0.2, 1e300, np.float64(-2.5e-7)]
+    path = tmp_path / "a.csv"
+    write_csv(path, ["a", "b", "c", "d", "e", "missing", "step", "label"],
+              [floats + [None, 3, ""], [np.float32(0.1)] + floats[1:]
+               + [None, np.int64(4), "x"]])
+    header, first, second = read_csv(path)
+    assert header == ["a", "b", "c", "d", "e", "missing", "step", "label"]
+    back = np.array([float(v) for v in first[:5]])
+    assert back.tobytes() == np.array(floats, dtype=float).tobytes()
+    assert first[5:] == ["", "3", ""]
+    assert second[0] == repr(float(np.float32(0.1)))
+    assert second[5:] == ["", "4", "x"]
+
+
+def test_csv_without_header_is_an_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_csv(path, None, [])
+    assert path.read_bytes() == b""
+    assert read_csv(path) == []
+
+
+def test_csv_write_that_raises_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "a.csv"
+    write_csv(path, ["x"], [[1.0]])
+    before = path.read_bytes()
+
+    def rows():
+        yield [2.0]
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_csv(path, ["x"], rows())
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["a.csv"]

@@ -6,10 +6,9 @@ import pytest
 from picontrol.core import NumericError, RngStream
 from picontrol.envs import (LinearPlant, PendulumDynamics, PendulumPlant,
                             SimulationResult, linear_teacher_from,
-                            mpc_simulate, pendulum_step,
-                            pendulum_teacher_models, sample_linear_teacher,
-                            trajectory_cost, upright_success, wrap_angle,
-                            write_trajectory_csv)
+                            mpc_simulate, pendulum_teacher_models,
+                            sample_linear_teacher, trajectory_cost,
+                            upright_success, wrap_angle, write_trajectory_csv)
 from picontrol.models import MODEL_TYPES, PendulumTeacherCost
 
 import oracles
@@ -95,14 +94,14 @@ def test_teacher_models_bundle():
 
 
 def test_pendulum_hanging_fixed_point_is_exact():
-    out = pendulum_step(np.array([0.0, 0.0]), 0.0)
+    out = PendulumPlant().step(np.array([0.0, 0.0]), 0.0)
     assert np.array_equal(out, np.zeros(2))
 
 
 def test_pendulum_upright_fixed_point():
     # sin(float pi) is 1.2e-16, not zero, so one step moves by O(1e-17);
     # bitwise equality is unrepresentable and this is the honest bound.
-    out = pendulum_step(np.array([np.pi, 0.0]), 0.0)
+    out = PendulumPlant().step(np.array([np.pi, 0.0]), 0.0)
     assert abs(out[0] - np.pi) < 1e-15
     assert abs(out[1]) < 1e-15
 
@@ -110,7 +109,7 @@ def test_pendulum_upright_fixed_point():
 def test_pendulum_step_matches_fine_integrator():
     for state, torque in [((np.pi / 2, 0.0), 0.0), ((0.3, -0.5), 1.0),
                           ((-2.0, 1.0), -2.0), ((3.0, 0.5), 0.7)]:
-        got = pendulum_step(np.array(state), torque)
+        got = PendulumPlant().step(np.array(state), torque)
         ref = oracles.fine_pendulum_step(np.array(state), torque)
         ref[0] = wrap_angle(ref[0])
         assert np.max(np.abs(got - ref)) < 1e-5

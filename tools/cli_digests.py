@@ -5,11 +5,13 @@ Usage:
 
 Each command of both environments runs once into its own directory under
 OUT_DIR (which must not hold earlier results), including one train and
-one gradcheck with a frozen segment and a pendulum simulate whose planner
-warm-starts.  Gradcheck and export-costmap do not depend on the
-environment (export-costmap refuses a linear config), so they run on the
-pendulum only.  Command output goes to stderr; stdout gets one
-``sha256  path`` line per artifact, path relative to OUT_DIR, sorted.
+one gradcheck with a frozen segment, a pendulum simulate whose planner
+warm-starts, and a linear gen-data, train and eval without a test split
+(its test_data.csv is empty and its test metrics are null).  Gradcheck
+and export-costmap do not depend on the environment (export-costmap
+refuses a linear config), so they run on the pendulum only.  Command
+output goes to stderr; stdout gets one ``sha256  path`` line per
+artifact, path relative to OUT_DIR, sorted.
 Artifacts are byte-identical on rerun, so two checkouts can be compared
 with one diff:
 
@@ -81,6 +83,17 @@ def runs(out):
             ("simulate-checkpoint", "simulate",
              {**use_both, "simulate": {"controller": "checkpoint"}}),
         ]
+        if env == "linear":
+            empty = os.path.join(out, env, "gen-data-no-test")
+            no_test = {"dataset": {"n_test": 0}, "paths": {"dataset": empty}}
+            trees += [
+                ("gen-data-no-test", "gen-data", {"dataset": {"n_test": 0}}),
+                ("train-no-test", "train", no_test),
+                # without a test split train writes no best checkpoint
+                ("eval-no-test", "eval", _merge(no_test, {"paths": {
+                    "checkpoint": os.path.join(out, env, "train-no-test",
+                                               "checkpoint_last.json")}})),
+            ]
         if env == "pendulum":
             trees += [
                 ("gradcheck", "gradcheck", {}),
