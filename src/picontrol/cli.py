@@ -81,14 +81,48 @@ def default_config(environment, profile):
     }
 
 
+# The type of each leaf whose default is null or that may be set to null;
+# every other leaf takes the type of its default.
+NULLABLE = {"paths.dataset": str, "paths.checkpoint": str,
+            "gradcheck.corrupt": str, "hyper.warm_recurrences": int,
+            "training.target_test_ctrl_ratio": float,
+            "training.pretrain": dict, "evaluation": dict}
+_KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
+          str: "a string", list: "a list", dict: "an object"}
+
+
+def _finite(value):
+    """Whether value is a JSON number (not a bool) of finite size."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _typed(name, value, default):
+    """value checked against the type of the default it overrides; a number
+    key stores any finite number as a float.  Objects merge into their
+    default, so an object key whose default is null takes only null."""
+    kind = NULLABLE[name] if default is None else type(default)
+    if kind is float and _finite(value):
+        return float(value)
+    if (kind in (bool, int, str, list) and isinstance(value, kind)
+            and not (kind is int and isinstance(value, bool))):
+        return value
+    expected = "null" if default is None and kind is dict else _KINDS[kind]
+    raise ParameterError(f"{name} must be {expected}, got {value!r}")
+
+
 def _deep_merge(base, override, prefix=""):
+    """Merge override into base, typing each overriding leaf (_typed)."""
     for key, value in override.items():
+        name = prefix + key
         if key not in base:
-            raise ParameterError(f"unknown config key {prefix + key!r}")
+            raise ParameterError(f"unknown config key {name!r}")
         if isinstance(base[key], dict) and isinstance(value, dict):
-            _deep_merge(base[key], value, prefix + key + ".")
+            _deep_merge(base[key], value, name + ".")
+        elif value is None and name in NULLABLE:
+            base[key] = None
         else:
-            base[key] = value
+            base[key] = _typed(name, value, base[key])
 
 
 def _require(condition, message):
@@ -104,45 +138,52 @@ def _validate_hyper(tree, prefix):
         raise ParameterError(f"{prefix}.{err}") from None
 
 
+def _validate_segments(name, entries):
+    # membership by ==, so an unhashable entry is refused, not a TypeError
+    _require(all(entry in SEGMENTS for entry in entries),
+             f"{name} entries must be among {SEGMENTS}, got {entries!r}")
+
+
 def _validate(cfg):
+    """The bounds of a typed config (_deep_merge checks the types)."""
     _validate_hyper(cfg["hyper"], "hyper")
     warm = cfg["hyper"].get("warm_recurrences")
     if warm is not None:
         require_count("hyper.warm_recurrences", warm, 1)
     tr = cfg["training"]
-    _require(set(tr["loss_weights"]) <= {"ctrl", "cost"},
-             "training.loss_weights keys must be ctrl/cost")
-    _require(set(tr["freeze"]) <= set(SEGMENTS),
-             f"training.freeze entries must be among {SEGMENTS}")
+    _validate_segments("training.freeze", tr["freeze"])
     require_count("training.epochs", tr["epochs"], 0)
     require_count("training.batch_size", tr["batch_size"], 1)
-    if tr["pretrain"] is not None:
-        _require(set(tr["pretrain"]) <= {"epochs", "batch_size", "lr"},
-                 "training.pretrain keys must be epochs/batch_size/lr")
+    if tr.get("pretrain") is not None:
+        require_count("training.pretrain.epochs", tr["pretrain"]["epochs"], 0)
+        require_count("training.pretrain.batch_size",
+                      tr["pretrain"]["batch_size"], 1)
     require_count("memory_budget", cfg["memory_budget"], 1)
     for key, value in cfg["dataset"].items():
-        _require(float(value) >= 0, f"dataset.{key} must be non-negative")
+        _require(value >= 0, f"dataset.{key} must be non-negative")
     gc = cfg["gradcheck"]
     require_count("gradcheck.instances", gc["instances"], 1)
     _require(gc["tolerance"] > 0 and gc["floor"] > 0,
              "gradcheck tolerance and floor must be positive")
     _require(gc["corrupt"] is None or gc["corrupt"] in SEGMENTS,
              f"gradcheck.corrupt must be null or one of {SEGMENTS}")
-    _require(set(gc["freeze"]) <= set(SEGMENTS),
-             f"gradcheck.freeze entries must be among {SEGMENTS}")
+    _validate_segments("gradcheck.freeze", gc["freeze"])
     _validate_hyper(gc["hyper"], "gradcheck.hyper")
     cm = cfg["costmap"]
     _require(cm["source"] in ("teacher", "checkpoint"),
              "costmap.source must be teacher or checkpoint")
     require_count("costmap.theta_cells", cm["theta_cells"], 2)
     require_count("costmap.theta_dot_cells", cm["theta_dot_cells"], 2)
+    for key in ("theta_range", "theta_dot_range"):
+        _require(len(cm[key]) == 2 and all(map(_finite, cm[key])),
+                 f"costmap.{key} must be two finite numbers, got {cm[key]}")
     sim = cfg["simulate"]
     require_count("simulate.runs", sim["runs"], 1)
     _require(sim["controller"] in ("expert", "pi_teacher", "checkpoint"),
              "simulate.controller must be expert, pi_teacher or checkpoint")
     if cfg["evaluation"] is not None:
         require_count("evaluation.runs", cfg["evaluation"]["runs"], 1)
-        _require(float(cfg["evaluation"]["duration"]) > 0,
+        _require(cfg["evaluation"]["duration"] > 0,
                  "evaluation.duration must be positive")
 
 
@@ -161,17 +202,16 @@ def load_config(path, profile, seed):
     cfg = default_config(environment, profile)
     _deep_merge(cfg, overrides)
     if seed is not None:
-        cfg["seed"] = int(seed)
-    cfg["seed"] = int(cfg["seed"])
+        _deep_merge(cfg, {"seed": seed})
     _validate(cfg)
     cfg["profile"] = profile
     return cfg
 
 
 def hyper_from_cfg(tree):
-    """PIHyperParams from a config block."""
-    return PIHyperParams(lambda_=float(tree["lambda"]), nu=float(tree["nu"]),
-                         sigma=float(tree["sigma"]),
+    """PIHyperParams from a config or checkpoint hyper block."""
+    return PIHyperParams(lambda_=tree["lambda"], nu=tree["nu"],
+                         sigma=tree["sigma"],
                          num_samples=tree["num_samples"],
                          horizon=tree["horizon"],
                          recurrences=tree["recurrences"])
@@ -464,7 +504,6 @@ class LinearEnvironment:
     name = "linear"
     regime = "open_loop"
     goals = None
-    pretrains = False
     reference_results = ()
 
     def defaults(self, profile):
@@ -481,8 +520,7 @@ class LinearEnvironment:
                         "demo_horizon": horizon},
             "training": {"epochs": 100, "batch_size": 8,
                          "loss_weights": {"ctrl": 1.0, "cost": 0.0},
-                         "freeze": [], "lr": 1e-3, "pretrain": None,
-                         "resume": False,
+                         "freeze": [], "lr": 1e-3, "resume": False,
                          "target_test_ctrl_ratio": 0.1},
             "evaluation": None,
             "simulate": {"runs": 1, "controller": "expert",
@@ -494,9 +532,8 @@ class LinearEnvironment:
         ds = cfg["dataset"]
         system = sample_linear_teacher(root.child(1), cfg["models"]["dt"])
         train, test = build_linear_dataset(system, root.child(0),
-                                           int(ds["n_train"]),
-                                           int(ds["n_test"]),
-                                           int(ds["demo_horizon"]))
+                                           ds["n_train"], ds["n_test"],
+                                           ds["demo_horizon"])
         teacher = ModelSet(*system.models())
         fields = {
             "sizes": {"n_train": len(train), "n_test": len(test)},
@@ -527,15 +564,14 @@ class LinearEnvironment:
         manifest = load_manifest(cfg["paths"]["dataset"] or out_dir,
                                  self.name, inputs)
         return (models_from_json(manifest["teacher"]["models"]),
-                float(manifest["teacher"]["dt"]),
-                int(cfg["simulate"]["horizon"]))
+                float(manifest["teacher"]["dt"]), cfg["simulate"]["horizon"])
 
     def simulate(self, planner, teacher, root, sim):
         """(states, controls) per run and metrics of one plan per
         standard-normal start state, scored on the teacher."""
         weight_matrix = teacher.weight.matrix()
         trajectories, per_run = [], []
-        for i in range(int(sim["runs"])):
+        for i in range(sim["runs"]):
             x0 = root.child(i).generator().normal(size=4)
             useq = planner.plan(x0, rng=root.child(1000 + i))
             total, states = sequence_cost(teacher.dynamics, teacher.cost,
@@ -571,7 +607,6 @@ class PendulumEnvironment:
     name = "pendulum"
     regime = "mpc"
     goals = PENDULUM_GOALS
-    pretrains = True
     # published swing-up benchmark rows, printed next to our numbers
     reference_results = (
         "reference swing-up results:",
@@ -615,10 +650,10 @@ class PendulumEnvironment:
                  "evaluation must give runs and duration for the pendulum: "
                  "gen-data scores its expert under that protocol")
         ds = cfg["dataset"]
-        horizon = int(ds["expert_horizon"])
+        horizon = ds["expert_horizon"]
         train, test, excluded = build_pendulum_dataset(
-            root.child(0), int(ds["n_traj_train"]), int(ds["n_traj_test"]),
-            float(ds["duration"]), horizon)
+            root.child(0), ds["n_traj_train"], ds["n_traj_test"],
+            ds["duration"], horizon)
         teacher = ModelSet(*pendulum_teacher_models())
         # closed_loop's stream, so an expert evaluation of this dataset
         # reproduces the manifest's expert metrics
@@ -629,8 +664,8 @@ class PendulumEnvironment:
               f", mean cost {metrics['mean_cost']:.6g}")
         fields = {
             "evaluation": protocol,
-            "sizes": {"n_traj_train": int(ds["n_traj_train"]),
-                      "n_traj_test": int(ds["n_traj_test"]),
+            "sizes": {"n_traj_train": ds["n_traj_train"],
+                      "n_traj_test": ds["n_traj_test"],
                       "transitions_train": len(train),
                       "transitions_test": len(test),
                       "excluded": excluded},
@@ -649,8 +684,8 @@ class PendulumEnvironment:
         return read_pendulum_dataset(path)
 
     def init_models(self, cfg, rng):
-        return init_pendulum_models(rng, int(cfg["models"]["hidden"]),
-                                    float(cfg["models"]["dt"]))
+        return init_pendulum_models(rng, cfg["models"]["hidden"],
+                                    cfg["models"]["dt"])
 
     def expert(self, teacher, horizon):
         # every pendulum teacher is the plant's own models, as in the expert
@@ -660,13 +695,13 @@ class PendulumEnvironment:
         # the plant's own models, shared by every dataset
         teacher = ModelSet(*pendulum_teacher_models())
         return (teacher, teacher.dynamics.dt,
-                int(cfg["dataset"]["expert_horizon"]))
+                cfg["dataset"]["expert_horizon"])
 
     def simulate(self, planner, teacher, root, sim):
         # benchmark_runs scores every run with the teacher's cost
-        runs = int(sim["runs"])
+        runs = sim["runs"]
         results, excluded = benchmark_runs(planner, root, runs,
-                                           float(sim["duration"]))
+                                           sim["duration"])
         # success rate over requested runs, mean cost over completed ones
         costs = [r.cost for r in results if r.cost is not None]
         return [(r.states, r.controls) for r in results], {
@@ -678,12 +713,13 @@ class PendulumEnvironment:
 
     def closed_loop(self, planner, manifest):
         """Simulate's metrics under the dataset's evaluation protocol."""
-        protocol = manifest["evaluation"]
+        # read back from the manifest, not config, so typed here
+        protocol = {"runs": int(manifest["evaluation"]["runs"]),
+                    "duration": float(manifest["evaluation"]["duration"])}
         stream = RngStream(manifest["seed"]).child(STREAM_DATA).child(2)
         _, metrics = self.simulate(planner, None, stream, protocol)
         del metrics["per_run"]
-        metrics.update({"runs": int(protocol["runs"]),
-                        "duration": float(protocol["duration"])})
+        metrics.update(protocol)
         return metrics
 
     def dynamics_errors(self, models, train, test):
@@ -729,7 +765,7 @@ def cmd_gen_data(cfg, out_dir, force):
 def cmd_train(cfg, out_dir, force):
     env = ENVIRONMENTS[cfg["environment"]]
     tr = cfg["training"]
-    pretraining = env.pretrains and tr["pretrain"] and not tr["resume"]
+    pretraining = tr.get("pretrain") is not None and not tr["resume"]
     artifacts = ["checkpoint_best.json", "checkpoint_last.json",
                  "history.csv", "train_report.json",
                  "resolved_config.train.json"]
@@ -750,12 +786,11 @@ def cmd_train(cfg, out_dir, force):
         start_epoch = int(ck["epoch"])
     else:
         models = env.init_models(cfg, root.child(0))
-        opt = OptimizerState(v=np.zeros(models.pack().size),
-                             lr=float(tr["lr"]))
+        opt = OptimizerState(v=np.zeros(models.pack().size), lr=tr["lr"])
         start_epoch = 0
     # refuse oversized configs before spending time on evals or pretraining
     check_memory_budget(hp, models.dynamics.state_dim, models.weight.dim,
-                        budget=int(cfg["memory_budget"]))
+                        budget=cfg["memory_budget"])
 
     sizes = _segment_sizes(models)
     total_params = sum(sizes.values())
@@ -768,9 +803,8 @@ def cmd_train(cfg, out_dir, force):
     if pretraining:
         pt = tr["pretrain"]
         pretrain_rows = pretrain_dynamics(
-            models.dynamics, train_set, test_set, int(pt["epochs"]),
-            int(pt["batch_size"]), float(pt["lr"]), rng=root.child(1),
-            wrap=True)
+            models.dynamics, train_set, test_set, pt["epochs"],
+            pt["batch_size"], pt["lr"], rng=root.child(1), wrap=True)
         write_history_csv(os.path.join(out_dir, "pretrain_history.csv"),
                           pretrain_rows)
         print(f"pretrained dynamics: train {pretrain_rows[-1]['train_dyn']:.3e}"
@@ -785,7 +819,7 @@ def cmd_train(cfg, out_dir, force):
         initial = evaluate_losses(models, hp, test_set, env.regime,
                                   train_rng.child(0).child(2), weights,
                                   env.goals)["ctrl"]
-        target = float(tr["target_test_ctrl_ratio"]) * initial
+        target = tr["target_test_ctrl_ratio"] * initial
         print(f"early-stop target: test control loss <= {target:.6e}")
 
     best = {"epoch": None}
@@ -797,10 +831,10 @@ def cmd_train(cfg, out_dir, force):
                          current_models, cfg["hyper"], env.name, epoch, opt)
 
     history = train_pinet(models, hp, train_set, test_set, env.regime,
-                          int(tr["epochs"]), int(tr["batch_size"]),
+                          tr["epochs"], tr["batch_size"],
                           freeze=tuple(tr["freeze"]), loss_weights=weights,
-                          goals=env.goals, rng=train_rng, lr=float(tr["lr"]),
-                          memory_budget=int(cfg["memory_budget"]),
+                          goals=env.goals, rng=train_rng, lr=tr["lr"],
+                          memory_budget=cfg["memory_budget"],
                           target_test_ctrl=target, on_best=save_best,
                           opt_state=opt, start_epoch=start_epoch)
 
@@ -893,7 +927,7 @@ def cmd_eval(cfg, out_dir, force):
 def cmd_simulate(cfg, out_dir, force):
     env = ENVIRONMENTS[cfg["environment"]]
     sim = cfg["simulate"]
-    runs = int(sim["runs"])
+    runs = sim["runs"]
     run_files = [f"run_{i:03d}.csv" for i in range(runs)]
     refuse_existing(out_dir, run_files + ["simulate_report.json",
                                           "resolved_config.simulate.json"],
@@ -975,11 +1009,11 @@ def cmd_gradcheck(cfg, out_dir, force):
 
     checks = {}  # live segment -> per-instance (rel, violation, est, ref)
     frozen_abs = {name: 0.0 for name in frozen}
-    floor = float(gc["floor"])
-    tolerance = float(gc["tolerance"])
-    for i in range(int(gc["instances"])):
+    floor = gc["floor"]
+    tolerance = gc["tolerance"]
+    for i in range(gc["instances"]):
         inst = root.child(i)
-        models = init_pendulum_models(inst, int(gc["hidden"]), 0.1)
+        models = init_pendulum_models(inst, gc["hidden"], 0.1)
         models.weight.set_params(
             0.3 * inst.child(2).generator().standard_normal(1))
         x0 = inst.child(3).generator().normal(size=2)
@@ -1030,7 +1064,7 @@ def cmd_gradcheck(cfg, out_dir, force):
 
     passed = not any(entry["failed"] for entry in segments.values())
     report = {"version": 1,
-              "instances": int(gc["instances"]),
+              "instances": gc["instances"],
               "tolerance": tolerance,
               "floor": floor,
               "corrupt": gc["corrupt"],
@@ -1087,11 +1121,8 @@ def cmd_export_costmap(cfg, out_dir, force):
         cost = _load_models(cfg, out_dir, "checkpoint_best.json",
                             inputs)[0].cost
 
-    thetas = _grid_axis(float(cm["theta_range"][0]),
-                        float(cm["theta_range"][1]), int(cm["theta_cells"]))
-    dots = _grid_axis(float(cm["theta_dot_range"][0]),
-                      float(cm["theta_dot_range"][1]),
-                      int(cm["theta_dot_cells"]))
+    thetas = _grid_axis(*cm["theta_range"], cm["theta_cells"])
+    dots = _grid_axis(*cm["theta_dot_range"], cm["theta_dot_cells"])
     grid_theta, grid_dot = np.meshgrid(thetas, dots, indexing="ij")
     states = np.column_stack([grid_theta.ravel(), grid_dot.ravel()])
     values = cost.running(states)
@@ -1101,7 +1132,7 @@ def cmd_export_costmap(cfg, out_dir, force):
               np.column_stack([states, values]).tolist())
     write_resolved_config(out_dir, "export-costmap", cfg, inputs)
     print(f"wrote {states.shape[0]} grid rows "
-          f"({int(cm['theta_cells'])} x {int(cm['theta_dot_cells'])})")
+          f"({cm['theta_cells']} x {cm['theta_dot_cells']})")
     print(f"elapsed {time.time() - started:.1f} s")
 
 

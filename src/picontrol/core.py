@@ -55,6 +55,9 @@ class PIHyperParams:
     recurrences: int
 
     def __post_init__(self):
+        for name, value in (("lambda", self.lambda_), ("nu", self.nu),
+                            ("sigma", self.sigma)):
+            require_real(name, value)
         if not (self.lambda_ > 0 and np.isfinite(self.lambda_)):
             raise ParameterError(f"lambda must be positive, got {self.lambda_}")
         if not (self.nu > 0 and np.isfinite(1.0 - 1.0 / self.nu)):
@@ -72,6 +75,14 @@ def require_count(name, value, least):
             and not isinstance(value, bool) and value >= least):
         raise ParameterError(
             f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def require_real(name, value):
+    """Raise ParameterError unless value is a Python or numpy real number
+    (not a bool, not a numeric string)."""
+    if not (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool)):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from picontrol.cli import default_config, hyper_from_cfg, load_config, main
+from picontrol.cli import (ENVIRONMENTS, NULLABLE, default_config,
+                           hyper_from_cfg, load_config, main)
 from picontrol.core import RngStream
 from picontrol.envs import sample_linear_teacher
 from picontrol.training import (check_memory_budget, sample_loss_and_grad,
@@ -23,6 +24,24 @@ def write_cfg(path, tree):
     with open(path, "w") as fh:
         json.dump(tree, fh)
     return str(path)
+
+
+def merged(base, override):
+    out = json.loads(json.dumps(base))
+    for key, value in override.items():
+        if isinstance(value, dict) and isinstance(out.get(key), dict):
+            out[key] = merged(out[key], value)
+        else:
+            out[key] = value
+    return out
+
+
+def config_leaves(tree, prefix=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from config_leaves(value, prefix + key + ".")
+        else:
+            yield prefix + key, value
 
 
 def dir_bytes(root):
@@ -588,7 +607,11 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
              # linear plans never warm-start
              ("gen-data", {"environment": "linear",
                            "hyper": {"warm_recurrences": 2}},
-              "hyper.warm_recurrences")]
+              "hyper.warm_recurrences"),
+             # linear training never pretrains
+             ("gen-data", {"environment": "linear",
+                           "training": {"pretrain": None}},
+              "training.pretrain")]
     for command, tree, key in cases:
         cfg = write_cfg(tmp_path / "cfg.json", tree)
         assert run_cli(command, "--config", cfg, "--out", tmp_path / "o",
@@ -626,6 +649,54 @@ def test_non_integer_counts_exit_1(tmp_path, capsys, tree, key):
                    "--seed", "0") == 1
     assert f"{key} must be an integer" in capsys.readouterr().err
     assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("tree, key", [
+    ({"hyper": {"lambda": None}}, "hyper.lambda"),
+    ({"hyper": {"lambda": "0.5"}}, "hyper.lambda"),
+    ({"evaluation": {"duration": None}}, "evaluation.duration"),
+    ({"dataset": {"duration": None}}, "dataset.duration"),
+    ({"dataset": {"n_traj_train": 2.5}}, "dataset.n_traj_train"),
+    ({"training": {"pretrain": {"epochs": 2.5}}}, "training.pretrain.epochs"),
+    ({"training": {"resume": "no"}}, "training.resume"),
+    ({"training": {"lr": "0.001"}}, "training.lr"),
+    ({"training": {"freeze": [["cost"]]}}, "training.freeze"),
+    ({"seed": 2.7}, "seed"),
+    ({"models": {"hidden": 2.5}}, "models.hidden"),
+    ({"gradcheck": {"tolerance": None}}, "gradcheck.tolerance"),
+    ({"gradcheck": {"freeze": [["cost"]]}}, "gradcheck.freeze"),
+    ({"costmap": {"theta_range": [1]}}, "costmap.theta_range"),
+    ({"costmap": {"theta_dot_range": ["a", 1]}}, "costmap.theta_dot_range"),
+])
+def test_mistyped_config_leaves_exit_1(tmp_path, capsys, tree, key):
+    # unchecked, each of these crashes with a traceback or loads with a
+    # meaning the key does not have (truncated, read as true, or parsed
+    # from a string)
+    cfg = write_cfg(tmp_path / "cfg.json", merged(PENDULUM_TINY, tree))
+    assert run_cli("gen-data", "--config", cfg, "--out", tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_an_integer_for_a_number_key_resolves_to_a_float(tmp_path):
+    cfg = load_config(write_cfg(tmp_path / "cfg.json",
+                                {"evaluation": {"duration": 1}}), "desk", None)
+    duration = cfg["evaluation"]["duration"]
+    assert duration == 1.0 and type(duration) is float
+
+
+def test_profiles_type_every_leaf_alike():
+    # the type each key takes must not change with --profile
+    for environment in ENVIRONMENTS:
+        desk, paper = (dict(config_leaves(default_config(environment, p)))
+                       for p in ("desk", "paper"))
+        assert desk.keys() == paper.keys()
+        for key, value in desk.items():
+            if value is None or paper[key] is None:
+                assert key in NULLABLE, key
+            else:
+                assert type(value) is type(paper[key]), key
 
 
 def test_lock_file_blocks_concurrent_use(tmp_path):

@@ -97,6 +97,14 @@ def test_hyperparams_validation():
             PIHyperParams(0.01, 1500.0, 0.2, 100, 200, bad)
     numpy_count = PIHyperParams(0.01, 1500.0, 0.2, np.int64(4), 200, 200)
     assert numpy_count.num_samples == 4
+    # reals are numbers: bools, numeric strings and null name their field
+    for field, name in enumerate(("lambda", "nu", "sigma")):
+        for bad in (True, "0.5", None):
+            args = [0.01, 1500.0, 0.2, 100, 200, 200]
+            args[field] = bad
+            with pytest.raises(ParameterError,
+                               match=f"{name} must be a real number"):
+                PIHyperParams(*args)
 
 
 def test_noise_is_deterministic_per_stream():
