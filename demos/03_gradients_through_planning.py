@@ -1,8 +1,9 @@
 """Differentiate a planner: d(imitation loss)/d(model parameters).
 
-The forward pass records everything it computes on a tape; the backward
-pass walks the tape in reverse, composing hand-written vector-Jacobian
-products.  Two spot checks below: a finite-difference probe of single
+The forward pass records, per planner iteration, what the backward pass
+reads (input plan, noise, rollout states and trajectory weights); the
+backward pass walks that tape in reverse, composing hand-written
+vector-Jacobian products.  Two spot checks below: a finite-difference probe of single
 coordinates, and the exact-zero gradient of a frozen segment.
 """
 import numpy as np

@@ -161,8 +161,12 @@ def _validate(cfg):
     require_count("memory_budget", cfg["memory_budget"], 1)
     for key, value in cfg["dataset"].items():
         _require(value >= 0, f"dataset.{key} must be non-negative")
+    if "expert_horizon" in cfg["dataset"]:
+        require_count("dataset.expert_horizon",
+                      cfg["dataset"]["expert_horizon"], 1)
     gc = cfg["gradcheck"]
     require_count("gradcheck.instances", gc["instances"], 1)
+    require_count("gradcheck.hidden", gc["hidden"], 1)
     _require(gc["tolerance"] > 0 and gc["floor"] > 0,
              "gradcheck tolerance and floor must be positive")
     _require(gc["corrupt"] is None or gc["corrupt"] in SEGMENTS,
@@ -179,6 +183,8 @@ def _validate(cfg):
                  f"costmap.{key} must be two finite numbers, got {cm[key]}")
     sim = cfg["simulate"]
     require_count("simulate.runs", sim["runs"], 1)
+    if "duration" in sim:
+        _require(sim["duration"] > 0, "simulate.duration must be positive")
     _require(sim["controller"] in ("expert", "pi_teacher", "checkpoint"),
              "simulate.controller must be expert, pi_teacher or checkpoint")
     if cfg["evaluation"] is not None:
@@ -811,17 +817,6 @@ def cmd_train(cfg, out_dir, force):
               + ("" if pretrain_rows[-1]["test_dyn"] is None else
                  f", held-out {pretrain_rows[-1]['test_dyn']:.3e}"))
 
-    weights = tr["loss_weights"]
-    train_rng = root.child(2)
-    target = None
-    if tr["target_test_ctrl_ratio"] is not None and test_set:
-        # same stream train_pinet uses for its own test snapshots
-        initial = evaluate_losses(models, hp, test_set, env.regime,
-                                  train_rng.child(0).child(2), weights,
-                                  env.goals)["ctrl"]
-        target = tr["target_test_ctrl_ratio"] * initial
-        print(f"early-stop target: test control loss <= {target:.6e}")
-
     best = {"epoch": None}
 
     def save_best(epoch, current_models, row):
@@ -832,11 +827,16 @@ def cmd_train(cfg, out_dir, force):
 
     history = train_pinet(models, hp, train_set, test_set, env.regime,
                           tr["epochs"], tr["batch_size"],
-                          freeze=tuple(tr["freeze"]), loss_weights=weights,
-                          goals=env.goals, rng=train_rng, lr=tr["lr"],
+                          freeze=tuple(tr["freeze"]),
+                          loss_weights=tr["loss_weights"], goals=env.goals,
+                          rng=root.child(2), lr=tr["lr"],
                           memory_budget=cfg["memory_budget"],
-                          target_test_ctrl=target, on_best=save_best,
-                          opt_state=opt, start_epoch=start_epoch)
+                          target_test_ctrl_ratio=tr["target_test_ctrl_ratio"],
+                          on_best=save_best, opt_state=opt,
+                          start_epoch=start_epoch)
+    if tr["target_test_ctrl_ratio"] is not None and test_set:
+        print("early-stop target: test control loss <= "
+              f"{tr['target_test_ctrl_ratio'] * history[0]['test_ctrl']:.6e}")
 
     write_history_csv(os.path.join(out_dir, "history.csv"), history)
     final_epoch = int(history[-1]["epoch"])

@@ -8,8 +8,9 @@ average of the perturbations.  The planner applies the kernel U times
 with fresh noise each iteration.
 
 The whole computation is differentiable with respect to the model
-parameters.  A recorded forward pass stores every intermediate on a
-tape; the backward pass walks the tape in reverse, composing model VJPs
+parameters.  A recorded forward pass keeps, per iteration, the arrays the
+reverse pass reads (input plan, noise, rollout states and softmax
+weights); the backward pass walks them in reverse, composing model VJPs
 with the softmax and suffix-sum adjoints.  Noise samples are treated as
 constants; gradients never flow into them.
 """
@@ -48,7 +49,7 @@ class RolloutCosts:
 
 @dataclass
 class KernelRecord:
-    """Everything one kernel iteration computed, kept for the reverse pass.
+    """What the reverse pass reads of one kernel iteration.
 
     A batched iteration (see pi_net_forward) adds a leading sample axis to
     every field; recorded iterations are always single-sample.
@@ -57,11 +58,7 @@ class KernelRecord:
     useq: np.ndarray        # (N, m) input plan
     noise: np.ndarray       # (K, N, m)
     states: np.ndarray      # (K, N+1, n)
-    running: np.ndarray     # (K, N)
-    terminal: np.ndarray    # (K,)
-    cost_to_go: np.ndarray  # (K, N+1)
     weights: np.ndarray     # (K, N) normalized softmax weights
-    output: np.ndarray      # (N, m) updated plan
 
 
 @dataclass
@@ -97,7 +94,7 @@ def monte_carlo_rollout(x0, useq, noise, dynamics, cost, weight_matrix, nu):
         noise: (..., K, N, m) perturbations; trajectory k applies
             useq + noise[..., k, :, :].
         dynamics: model with batched forward over leading axes.
-        cost: state-cost model (running / terminal) over (B, n) rows.
+        cost: state-cost model (running / terminal) over (rows, n).
         weight_matrix: (m, m) control weight R.
         nu: noise-quadratic coefficient knob.
 
@@ -123,34 +120,19 @@ def monte_carlo_rollout(x0, useq, noise, dynamics, cost, weight_matrix, nu):
     if not np.all(np.isfinite(states)):
         bad = np.argwhere(~np.isfinite(states).all(axis=(-2, -1)))[0]
         raise NumericError(f"rollout diverged on {_trajectory(bad)}")
-    running, terminal = _rollout_costs(states, useq, noise, cost,
-                                       weight_matrix, nu)
+    # one state-cost call over all (..., K, N) rollout states as rows; a
+    # row's bits do not depend on the rows beside it, except that MLPCost
+    # on a single row (one sample's K = 1 terminal) may take BLAS's gemv
+    shape = noise.shape[:-1]
+    state_cost = cost.running(states[..., :N, :].reshape(-1, n)).reshape(shape)
+    running = state_cost + control_penalty(useq, noise, weight_matrix, nu)
+    terminal = np.asarray(cost.terminal(states[..., N, :].reshape(-1, n)),
+                          dtype=float).reshape(shape[:-1])
     if not (np.all(np.isfinite(running)) and np.all(np.isfinite(terminal))):
         bad = np.argwhere(~(np.isfinite(running).all(axis=-1)
                             & np.isfinite(terminal)))[0]
         raise NumericError(f"non-finite cost on {_trajectory(bad)}")
     return states, RolloutCosts(running, terminal)
-
-
-def _rollout_costs(states, useq, noise, cost, weight_matrix, nu):
-    """(running, terminal) costs of one sample's rollout, or of each sample
-    of a batch.
-
-    A sample's state costs over its K*N rollout states are one call, and
-    so is its control penalty: over a batch, 3-operand einsum may sum in
-    another order.
-    """
-    if noise.ndim > 3:
-        parts = [_rollout_costs(*sample, cost, weight_matrix, nu)
-                 for sample in zip(states, useq, noise)]
-        return (np.stack([running for running, _ in parts]),
-                np.stack([terminal for _, terminal in parts]))
-    K, N, _ = noise.shape
-    n = states.shape[-1]
-    state_cost = cost.running(states[:, :N].reshape(K * N, n)).reshape(K, N)
-    running = state_cost + control_penalty(useq, noise, weight_matrix, nu)
-    terminal = np.asarray(cost.terminal(states[:, N]), dtype=float)
-    return running, terminal
 
 
 def cost_to_go(costs: RolloutCosts) -> np.ndarray:
@@ -192,14 +174,13 @@ def update_controls(useq, noise, ctg, lambda_):
 
 
 def _kernel_record(x0, useq, noise, models: ModelSet, hp: PIHyperParams,
-                   weight_matrix) -> KernelRecord:
+                   weight_matrix):
+    """One kernel iteration: (its KernelRecord, the updated plan)."""
     states, costs = monte_carlo_rollout(x0, useq, noise, models.dynamics,
                                         models.cost, weight_matrix, hp.nu)
-    ctg = cost_to_go(costs)
-    weights = _softmax_weights(ctg, hp.lambda_)
-    output = _weighted_update(useq, weights, noise)
-    return KernelRecord(useq, noise, states, costs.running, costs.terminal,
-                        ctg, weights, output)
+    weights = _softmax_weights(cost_to_go(costs), hp.lambda_)
+    return (KernelRecord(useq, noise, states, weights),
+            _weighted_update(useq, weights, noise))
 
 
 def pi_net_forward(x0, useq_init, models: ModelSet, hp: PIHyperParams,
@@ -256,8 +237,8 @@ def pi_net_forward(x0, useq_init, models: ModelSet, hp: PIHyperParams,
         noises = [gaussian_noise(stream.child(t), hp.num_samples, hp.horizon,
                                  m, hp.sigma) for stream in streams]
         noise = np.stack(noises) if batch else noises[0]
-        rec = _kernel_record(x0, useq, noise, models, hp, weight_matrix)
-        useq = rec.output
+        rec, useq = _kernel_record(x0, useq, noise, models, hp,
+                                   weight_matrix)
         if record:
             tape.records.append(rec)
     return useq, tape
@@ -269,7 +250,7 @@ def _kernel_backward(rec: KernelRecord, out_bar, models: ModelSet, hp,
 
     Takes the cotangent on the iteration's output plan, accumulates
     parameter cotangents into grads, and returns the cotangent on the
-    input plan.  All intermediates come from the record.
+    input plan.  Everything it reads of the forward comes from the record.
     """
     noise, w, states = rec.noise, rec.weights, rec.states
     K, N, m = noise.shape

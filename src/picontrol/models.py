@@ -114,7 +114,7 @@ class QuadraticCost(FlatParams):
         return self.Q.shape[0]
 
     def running(self, x):
-        return 0.5 * np.einsum("bi,ij,bj->b", x, self.Q, x)
+        return 0.5 * quadratic_form(x, self.Q, x)
 
     terminal = running
 
@@ -233,8 +233,11 @@ class MLPCost(FlatParams):
     state_dim = 2
 
     def _net(self, x):
-        h = np.tanh(x @ self.W1.T + self.b1)
-        return h, h @ self.W2.T + self.b2
+        h = x @ self.W1.T  # in place: one call takes a whole rollout batch
+        np.tanh(np.add(h, self.b1, out=h), out=h)
+        out = h @ self.W2.T
+        out += self.b2
+        return h, out
 
     def running(self, x):
         _, out = self._net(x)
@@ -366,22 +369,34 @@ class ControlCostWeight(FlatParams):
         return cls(cfg["m"])
 
 
+def quadratic_form(a, M, b):
+    """a'Mb over the last axis, summed from 0.0 as (a[..., i] * M[i, j]) *
+    b[..., j], i outer and j inner: each leading index gets the same
+    operations whatever the batch (einsum's order may change with it)."""
+    total = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    for i in range(M.shape[0]):
+        for j in range(M.shape[1]):
+            total += (a[..., i] * M[i, j]) * b[..., j]
+    return total
+
+
 def control_penalty(useq, noise, R, nu):
     """Control-dependent part of the modified running cost, batched.
 
     Args:
-        useq: (N, m) nominal plan.
-        noise: (K, N, m) perturbations.
+        useq: (..., N, m) nominal plan.
+        noise: (..., K, N, m) perturbations.
         R: (m, m) positive-definite weight.
         nu: coupling knob; the du'R du coefficient is (1 - 1/nu)/2.
 
     Returns:
-        (K, N) array: u'Ru/2 + (1-1/nu)/2 du'Rdu + u'Rdu per (k, i).
+        (..., K, N) array: u'Ru/2 + (1-1/nu)/2 du'Rdu + u'Rdu per (k, i).
     """
-    half_u = 0.5 * np.einsum("im,mp,ip->i", useq, R, useq)
-    quad_noise = 0.5 * (1.0 - 1.0 / nu) * np.einsum("kim,mp,kip->ki", noise, R, noise)
-    cross = np.einsum("im,mp,kip->ki", useq, R, noise)
-    return half_u[None, :] + quad_noise + cross
+    useq = useq[..., None, :, :]
+    half_u = 0.5 * quadratic_form(useq, R, useq)
+    quad_noise = 0.5 * (1.0 - 1.0 / nu) * quadratic_form(noise, R, noise)
+    cross = quadratic_form(useq, R, noise)
+    return half_u + quad_noise + cross
 
 
 MODEL_TYPES = {

@@ -301,14 +301,14 @@ def pretrain_dynamics(dynamics, train_samples, test_samples, epochs,
 
 
 def tape_bytes(hp: PIHyperParams, state_dim, control_dim):
-    """Upper estimate of one recorded forward's storage.
+    """Bytes of the KernelRecords of one recorded forward.
 
     Training records and releases one sample's tape at a time, so this is
     what a training step holds whatever the batch size.
     """
     K, N, U = hp.num_samples, hp.horizon, hp.recurrences
-    per_record = (K * (N * control_dim + (N + 1) * state_dim + 3 * N + 2)
-                  + 2 * N * control_dim)
+    per_record = (K * (N * control_dim + (N + 1) * state_dim + N)
+                  + N * control_dim)
     return 8 * U * per_record
 
 
@@ -374,9 +374,9 @@ def evaluate_losses(models, hp, samples, regime, rng, loss_weights, goals=None):
     Each sample's planner noise is keyed by its dataset index, so the
     result depends only on (models, dataset), never on how a caller
     batched or ordered the pass.  The planner runs on chunks of at most
-    hp.recurrences samples: one batched iteration over that many samples
-    holds about what one sample's recorded tape (hp.recurrences
-    iterations) holds, which check_memory_budget already bounds.
+    hp.recurrences (U) samples; an iteration's state cost is one call over
+    the chunk's U*K*N rollout states, so its memory grows with U*K*N,
+    unbounded by check_memory_budget (README: Batched evaluation).
     """
     if not samples:
         return {"ctrl": None, "cost": None, "total": None}
@@ -411,9 +411,9 @@ def _plan_losses(models, hp, samples, regime, streams, loss_weights, goals):
 def train_pinet(models: ModelSet, hp: PIHyperParams, train_set, test_set,
                 regime, epochs, batch_size, freeze=(), loss_weights=None,
                 goals=None, rng: RngStream | None = None, lr=1e-3,
-                memory_budget=DEFAULT_MEMORY_BUDGET, target_test_ctrl=None,
-                on_best=None, opt_state: OptimizerState | None = None,
-                start_epoch=0):
+                memory_budget=DEFAULT_MEMORY_BUDGET,
+                target_test_ctrl_ratio=None, on_best=None,
+                opt_state: OptimizerState | None = None, start_epoch=0):
     """Imitation training of the full controller.
 
     Per batch: recorded forward per sample, weighted loss cotangent,
@@ -425,7 +425,8 @@ def train_pinet(models: ModelSet, hp: PIHyperParams, train_set, test_set,
         regime: "open_loop" (OpenLoopSample) or "mpc" (MPCSample).
         freeze: model ids whose parameters must not move.
         loss_weights: {"ctrl": w, "cost": w}; ctrl defaults to 1.
-        target_test_ctrl: optional early-stop threshold on test L_ctrl.
+        target_test_ctrl_ratio: optional early stop once test L_ctrl is at
+            most this fraction of the first snapshot's.
         on_best: callback (epoch, models, row) at each new best test total.
         opt_state, start_epoch: resume a run; epochs stays the total
             target, so training continues through epochs - start_epoch
@@ -501,8 +502,9 @@ def train_pinet(models: ModelSet, hp: PIHyperParams, train_set, test_set,
             best_test = row["test_total"]
             if on_best:
                 on_best(epoch, models, row)
-        if (target_test_ctrl is not None and row["test_ctrl"] is not None
-                and row["test_ctrl"] <= target_test_ctrl):
+        if (target_test_ctrl_ratio is not None and row["test_ctrl"] is not None
+                and row["test_ctrl"]
+                <= target_test_ctrl_ratio * history[0]["test_ctrl"]):
             break
     return history
 

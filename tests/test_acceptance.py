@@ -15,6 +15,7 @@ import numpy as np
 
 from picontrol.cli import main as cli_main
 from picontrol.controller import (ModelSet, PathIntegralPlanner,
+                                  cost_to_go, monte_carlo_rollout,
                                   pi_net_backward, pi_net_forward,
                                   update_controls)
 from picontrol.core import (ParamVector, PIHyperParams, RngStream,
@@ -194,15 +195,15 @@ def test_criterion_05_linear_imitation_at_desk_scale():
                        num_samples=50, horizon=50, recurrences=50)
     models = init_linear_models(root.child(2))
 
-    # the target is a tenth of the at-initialization loss; evaluated on the
-    # same stream train_pinet uses for its own epoch-0 test snapshot
+    # the early-stop target is a tenth of the at-initialization loss;
+    # train_pinet's epoch-0 test snapshot uses the stream evaluated here
     weights = {"ctrl": 1.0, "cost": 0.0}
     initial = evaluate_losses(models, hp, test, "open_loop",
                               root.child(3).child(0).child(2),
                               weights)["ctrl"]
     history = train_pinet(models, hp, train, test, "open_loop", epochs=100,
                           batch_size=8, loss_weights=weights,
-                          rng=root.child(3), target_test_ctrl=initial / 10.0)
+                          rng=root.child(3), target_test_ctrl_ratio=0.1)
     assert history[0]["test_ctrl"] == initial
     final = history[-1]["test_ctrl"]
     reduction = initial / final
@@ -280,13 +281,17 @@ def test_criterion_07_numerical_environment_invariants():
     models = ModelSet(*pendulum_teacher_models())
     hp = PIHyperParams(lambda_=0.01, nu=1500.0, sigma=0.3,
                        num_samples=6, horizon=8, recurrences=1)
-    _, tape = pi_net_forward(np.array([0.4, -0.2]), None, models, hp,
-                             RngStream(71), record=True)
+    x0 = np.array([0.4, -0.2])
+    _, tape = pi_net_forward(x0, None, models, hp, RngStream(71), record=True)
     rec = tape.records[0]
+    states, costs = monte_carlo_rollout(x0, rec.useq, rec.noise,
+                                        models.dynamics, models.cost,
+                                        models.weight.matrix(), hp.nu)
+    assert np.array_equal(states, rec.states)
+    ctg = cost_to_go(costs)
     for k in range(hp.num_samples):
         for i in range(hp.horizon):
-            assert rec.cost_to_go[k, i] == (rec.cost_to_go[k, i + 1]
-                                            + rec.running[k, i])
+            assert ctg[k, i] == ctg[k, i + 1] + costs.running[k, i]
     summary(f"criterion 7 PASS: orthogonality {worst_orth:.1e} over 100 "
             f"draws, hanging fixed point bitwise, integrator vs fine "
             f"reference {worst_step:.1e}, suffix recurrence exact")

@@ -258,8 +258,8 @@ def test_paper_scale_linear_tape_fits_the_default_budget():
     cfg = default_config("linear", "paper")
     hp = hyper_from_cfg(cfg["hyper"])
     state_dim, control_dim = sample_linear_teacher(RngStream(0)).G.shape
-    # one 100 x 200 x 200 tape is ~0.27 GiB; the batch of 8 is never held
-    assert tape_bytes(hp, state_dim, control_dim) == 290_240_000
+    # one 100 x 200 x 200 tape is ~0.21 GiB; the batch of 8 is never held
+    assert tape_bytes(hp, state_dim, control_dim) == 225_280_000
     check_memory_budget(hp, state_dim, control_dim,
                         budget=cfg["memory_budget"])
 
@@ -672,6 +672,22 @@ def test_mistyped_config_leaves_exit_1(tmp_path, capsys, tree, key):
     # unchecked, each of these crashes with a traceback or loads with a
     # meaning the key does not have (truncated, read as true, or parsed
     # from a string)
+    cfg = write_cfg(tmp_path / "cfg.json", merged(PENDULUM_TINY, tree))
+    assert run_cli("gen-data", "--config", cfg, "--out", tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("tree, key", [
+    ({"dataset": {"expert_horizon": 0}}, "dataset.expert_horizon"),
+    ({"simulate": {"duration": -1.0}}, "simulate.duration"),
+    ({"gradcheck": {"hidden": 0}}, "gradcheck.hidden"),
+])
+def test_out_of_range_config_leaves_exit_1(tmp_path, capsys, tree, key):
+    # unchecked, each of these loads and fails later in the command that
+    # reads it (gen-data, simulate, gradcheck), with a message or a
+    # traceback that does not name the key
     cfg = write_cfg(tmp_path / "cfg.json", merged(PENDULUM_TINY, tree))
     assert run_cli("gen-data", "--config", cfg, "--out", tmp_path / "o") == 1
     err = capsys.readouterr().err

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from picontrol.controller import (ModelSet, PathIntegralPlanner, RolloutCosts,
-                                  _softmax_weights, cost_to_go,
-                                  monte_carlo_rollout, pi_net_backward,
-                                  pi_net_forward, update_controls)
+                                  _softmax_weights, _weighted_update,
+                                  cost_to_go, monte_carlo_rollout,
+                                  pi_net_backward, pi_net_forward,
+                                  update_controls)
 from picontrol.core import (ConsistencyError, NumericError, ParameterError,
                             ParamVector, PIHyperParams, RngStream, ShapeError,
                             gaussian_noise, unpack_params)
@@ -110,24 +111,41 @@ def test_rollout_costs_equal_per_step_cost_calls_bitwise(env, K, monkeypatch):
     R = weight.matrix()
     n, m = cost.state_dim, R.shape[0]
     N = 7
+    B = 3
     gen = RngStream(8).child(K).generator()
-    x0 = gen.standard_normal(n)
-    useq = gen.standard_normal((N, m))
-    noise = 0.3 * gen.standard_normal((K, N, m))
-    real = cost.running
+    x0 = gen.standard_normal((B, n))
+    useq = gen.standard_normal((B, N, m))
+    noise = 0.3 * gen.standard_normal((B, K, N, m))
+    real_running, real_terminal = cost.running, cost.terminal
     calls = []
 
     def counting(x):
         calls.append(x.shape[0])
-        return real(x)
+        return real_running(x)
 
     monkeypatch.setattr(cost, "running", counting)
-    states, costs = monte_carlo_rollout(x0, useq, noise, dynamics, cost, R,
-                                        1500.0)
-    assert calls == [K * N]  # one state-cost call per rollout
-    per_step = np.column_stack([real(states[:, i]) for i in range(N)])
-    want = per_step + control_penalty(useq, noise, R, 1500.0)
-    assert costs.running.tobytes() == want.tobytes()
+
+    def per_sample(b):
+        states, costs = monte_carlo_rollout(x0[b], useq[b], noise[b],
+                                            dynamics, cost, R, 1500.0)
+        per_step = np.column_stack([real_running(states[:, i])
+                                    for i in range(N)])
+        want = per_step + control_penalty(useq[b], noise[b], R, 1500.0)
+        assert costs.running.tobytes() == want.tobytes()
+        assert (costs.terminal.tobytes()
+                == real_terminal(states[:, N]).tobytes())
+        return costs
+
+    singles = [per_sample(b) for b in range(B)]
+    assert calls == [K * N] * B  # one state-cost call per rollout
+    calls.clear()
+    _, batched = monte_carlo_rollout(x0, useq, noise, dynamics, cost, R,
+                                     1500.0)
+    assert calls == [B * K * N]  # ... whatever its batch
+    assert (batched.running.tobytes()
+            == np.stack([c.running for c in singles]).tobytes())
+    assert (batched.terminal.tobytes()
+            == np.stack([c.terminal for c in singles]).tobytes())
 
 
 # ------------------------------------------------------------- cost-to-go
@@ -330,7 +348,10 @@ def test_forward_is_deterministic_and_tape_is_optional():
     assert tape1 is None
     assert len(tape2.records) == TINY_HP.recurrences
     assert np.array_equal(out1, out2)
-    assert np.array_equal(tape2.records[-1].output, out2)
+    # the tape holds what produced the returned plan
+    last = tape2.records[-1]
+    assert np.array_equal(_weighted_update(last.useq, last.weights,
+                                           last.noise), out2)
 
 
 def test_recurrence_override_changes_iteration_count():

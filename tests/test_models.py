@@ -288,6 +288,22 @@ def test_control_penalty_matches_scalar_form():
             assert got[k, i] == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("N", [1, 2, 7])
+def test_control_penalty_over_a_batch_equals_per_sample_calls_bitwise(N, m):
+    gen = np.random.default_rng(100 * N + m)
+    B, K = 3, 5
+    useq = gen.standard_normal((B, N, m))
+    noise = gen.standard_normal((B, K, N, m))
+    L = np.tril(gen.standard_normal((m, m))) + 2.0 * np.eye(m)
+    R = L @ L.T
+    got = control_penalty(useq, noise, R, 1500.0)
+    want = np.stack([control_penalty(useq[b], noise[b], R, 1500.0)
+                     for b in range(B)])
+    assert got.shape == (B, K, N)
+    assert got.tobytes() == want.tobytes()
+
+
 # one small configuration per registered model type
 PARAM_CONFIGS = {
     "linear_dynamics": {"n": 3, "m": 2},

@@ -322,6 +322,17 @@ def test_tape_bytes_grow_with_every_unroll_dimension():
     assert tape_bytes(base, 2, 2) > b0
 
 
+def test_tape_bytes_is_the_size_of_a_recorded_tape():
+    models = ModelSet(*sample_linear_teacher(RngStream(30)).models())
+    hp = PIHyperParams(lambda_=0.5, nu=1500.0, sigma=0.3,
+                       num_samples=3, horizon=5, recurrences=2)
+    _, tape = pi_net_forward(np.ones(4), None, models, hp, RngStream(31),
+                             record=True)
+    held = sum(value.nbytes for rec in tape.records
+               for value in vars(rec).values())
+    assert tape_bytes(hp, 4, 2) == held
+
+
 def test_memory_budget_refusal_names_the_reduction():
     hp = PIHyperParams(lambda_=0.5, nu=1500.0, sigma=0.3,
                        num_samples=1000, horizon=200, recurrences=200)
@@ -500,7 +511,7 @@ def test_early_stop_on_test_target():
                               np.zeros((TINY_HP.horizon, 1)))]
     history = train_pinet(models, TINY_HP, samples, samples, "open_loop",
                           epochs=50, batch_size=1, rng=RngStream(27),
-                          target_test_ctrl=1e9)
+                          target_test_ctrl_ratio=1e9)
     assert len(history) == 2  # stopped right after the first epoch
 
 
