@@ -28,8 +28,8 @@ import numpy as np
 from .controller import ModelSet, PathIntegralPlanner, pi_net_forward
 from .core import (ConsistencyError, MemoryBudgetError, NumericError,
                    ParameterError, ParamVector, PIHyperParams, RngStream,
-                   ShapeError, atomic_open, read_csv, require_count,
-                   unpack_params, write_csv)
+                   ShapeError, atomic_open, read_csv, unpack_params,
+                   write_csv)
 from .envs import (benchmark_runs, pendulum_expert, pendulum_teacher_models,
                    sample_linear_teacher, write_trajectory_csv)
 from .experts import LQRPlanner, LQRProblem, sequence_cost
@@ -42,8 +42,7 @@ from .training import (DEFAULT_MEMORY_BUDGET, MPCSample, OpenLoopSample,
                        pretrain_dynamics, sample_loss_and_grad, train_pinet,
                        write_history_csv)
 
-CHECKPOINT_VERSION = 1
-MANIFEST_VERSION = 1
+ARTIFACT_VERSION = 1  # of manifests and checkpoints
 SEGMENTS = ("dynamics", "cost", "control_weight")
 
 # Sub-stream ids under the command seed; commands never share streams.
@@ -87,6 +86,20 @@ NULLABLE = {"paths.dataset": str, "paths.checkpoint": str,
             "gradcheck.corrupt": str, "hyper.warm_recurrences": int,
             "training.target_test_ctrl_ratio": float,
             "training.pretrain": dict, "evaluation": dict}
+# The least value of each bounded number leaf, and the number leaves that
+# must be above 0.
+LEAST = {"seed": 0, "memory_budget": 1, "models.hidden": 1,
+         "hyper.warm_recurrences": 1, "training.epochs": 0,
+         "training.batch_size": 1, "training.pretrain.epochs": 0,
+         "training.pretrain.batch_size": 1, "dataset.n_train": 0,
+         "dataset.n_test": 0, "dataset.demo_horizon": 1,
+         "dataset.n_traj_train": 0, "dataset.n_traj_test": 0,
+         "dataset.duration": 0, "dataset.expert_horizon": 1,
+         "gradcheck.instances": 1, "gradcheck.hidden": 1,
+         "costmap.theta_cells": 2, "costmap.theta_dot_cells": 2,
+         "simulate.runs": 1, "simulate.horizon": 1, "evaluation.runs": 1}
+POSITIVE = ("gradcheck.tolerance", "gradcheck.floor", "simulate.duration",
+            "evaluation.duration")
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
           str: "a string", list: "a list", dict: "an object"}
 
@@ -98,21 +111,28 @@ def _finite(value):
 
 
 def _typed(name, value, default):
-    """value checked against the type of the default it overrides; a number
-    key stores any finite number as a float.  Objects merge into their
-    default, so an object key whose default is null takes only null."""
+    """value checked against the type of the default it overrides, then
+    against the key's bound (LEAST, POSITIVE); a number key stores any
+    finite number as a float.  Objects merge into their default, so an
+    object key whose default is null takes only null."""
     kind = NULLABLE[name] if default is None else type(default)
     if kind is float and _finite(value):
-        return float(value)
-    if (kind in (bool, int, str, list) and isinstance(value, kind)
-            and not (kind is int and isinstance(value, bool))):
-        return value
-    expected = "null" if default is None and kind is dict else _KINDS[kind]
-    raise ParameterError(f"{name} must be {expected}, got {value!r}")
+        value = float(value)
+    elif not (kind in (bool, int, str, list) and isinstance(value, kind)
+              and not (kind is int and isinstance(value, bool))):
+        expected = "null" if default is None and kind is dict else _KINDS[kind]
+        raise ParameterError(f"{name} must be {expected}, got {value!r}")
+    if name in LEAST and value < LEAST[name]:
+        raise ParameterError(f"{name} must be {_KINDS[kind]} >= "
+                             f"{LEAST[name]}, got {value!r}")
+    if name in POSITIVE and value <= 0:
+        raise ParameterError(f"{name} must be {_KINDS[kind]} > 0, "
+                             f"got {value!r}")
+    return value
 
 
 def _deep_merge(base, override, prefix=""):
-    """Merge override into base, typing each overriding leaf (_typed)."""
+    """Merge override into base, typing and bounding each leaf (_typed)."""
     for key, value in override.items():
         name = prefix + key
         if key not in base:
@@ -130,12 +150,19 @@ def _require(condition, message):
         raise ParameterError(message)
 
 
-def _validate_hyper(tree, prefix):
-    # PIHyperParams messages start with the field name, the config key
+@contextlib.contextmanager
+def _prefixed(prefix):
+    """Prefix the ParameterErrors raised inside: with the file they concern,
+    or with a hyper block's key (PIHyperParams names only the field)."""
     try:
-        hyper_from_cfg(tree)
+        yield
     except ParameterError as err:
-        raise ParameterError(f"{prefix}.{err}") from None
+        raise ParameterError(f"{prefix}{err}") from None
+
+
+def _validate_hyper(tree, prefix):
+    with _prefixed(prefix + "."):
+        hyper_from_cfg(tree)
 
 
 def _validate_segments(name, entries):
@@ -145,71 +172,38 @@ def _validate_segments(name, entries):
 
 
 def _validate(cfg):
-    """The bounds of a typed config (_deep_merge checks the types)."""
+    """The checks of a merged config that span more than one leaf, or that
+    name allowed values; _deep_merge types and bounds each leaf."""
+    gc, cm, sim = cfg["gradcheck"], cfg["costmap"], cfg["simulate"]
     _validate_hyper(cfg["hyper"], "hyper")
-    warm = cfg["hyper"].get("warm_recurrences")
-    if warm is not None:
-        require_count("hyper.warm_recurrences", warm, 1)
-    tr = cfg["training"]
-    _validate_segments("training.freeze", tr["freeze"])
-    require_count("training.epochs", tr["epochs"], 0)
-    require_count("training.batch_size", tr["batch_size"], 1)
-    if tr.get("pretrain") is not None:
-        require_count("training.pretrain.epochs", tr["pretrain"]["epochs"], 0)
-        require_count("training.pretrain.batch_size",
-                      tr["pretrain"]["batch_size"], 1)
-    require_count("memory_budget", cfg["memory_budget"], 1)
-    for key, value in cfg["dataset"].items():
-        _require(value >= 0, f"dataset.{key} must be non-negative")
-    if "expert_horizon" in cfg["dataset"]:
-        require_count("dataset.expert_horizon",
-                      cfg["dataset"]["expert_horizon"], 1)
-    gc = cfg["gradcheck"]
-    require_count("gradcheck.instances", gc["instances"], 1)
-    require_count("gradcheck.hidden", gc["hidden"], 1)
-    _require(gc["tolerance"] > 0 and gc["floor"] > 0,
-             "gradcheck tolerance and floor must be positive")
+    _validate_hyper(gc["hyper"], "gradcheck.hyper")
+    _validate_segments("training.freeze", cfg["training"]["freeze"])
+    _validate_segments("gradcheck.freeze", gc["freeze"])
     _require(gc["corrupt"] is None or gc["corrupt"] in SEGMENTS,
              f"gradcheck.corrupt must be null or one of {SEGMENTS}")
-    _validate_segments("gradcheck.freeze", gc["freeze"])
-    _validate_hyper(gc["hyper"], "gradcheck.hyper")
-    cm = cfg["costmap"]
     _require(cm["source"] in ("teacher", "checkpoint"),
              "costmap.source must be teacher or checkpoint")
-    require_count("costmap.theta_cells", cm["theta_cells"], 2)
-    require_count("costmap.theta_dot_cells", cm["theta_dot_cells"], 2)
     for key in ("theta_range", "theta_dot_range"):
         _require(len(cm[key]) == 2 and all(map(_finite, cm[key])),
                  f"costmap.{key} must be two finite numbers, got {cm[key]}")
-    sim = cfg["simulate"]
-    require_count("simulate.runs", sim["runs"], 1)
-    if "duration" in sim:
-        _require(sim["duration"] > 0, "simulate.duration must be positive")
     _require(sim["controller"] in ("expert", "pi_teacher", "checkpoint"),
              "simulate.controller must be expert, pi_teacher or checkpoint")
-    if cfg["evaluation"] is not None:
-        require_count("evaluation.runs", cfg["evaluation"]["runs"], 1)
-        _require(cfg["evaluation"]["duration"] > 0,
-                 "evaluation.duration must be positive")
 
 
 def load_config(path, profile, seed):
-    """Merge a config file over the profile defaults and validate it."""
-    overrides = {}
-    if path is not None:
-        with open(path) as fh:
-            overrides = json.load(fh)
-        _require(isinstance(overrides, dict),
-                 f"config file {path} must hold a JSON object")
-    environment = overrides.get("environment", "pendulum")
-    _require(isinstance(environment, str) and environment in ENVIRONMENTS,
-             f"environment must be {' or '.join(ENVIRONMENTS)}, "
-             f"got {environment!r}")
-    cfg = default_config(environment, profile)
-    _deep_merge(cfg, overrides)
+    """Merge a config file over the profile defaults, then --seed, and
+    validate it; an error in the file's content names the file."""
+    overrides = {} if path is None else read_json(path)[0]
+    with _prefixed(f"{path}: "):
+        environment = overrides.get("environment", "pendulum")
+        _require(isinstance(environment, str) and environment in ENVIRONMENTS,
+                 f"environment must be {' or '.join(ENVIRONMENTS)}, "
+                 f"got {environment!r}")
+        cfg = default_config(environment, profile)
+        _deep_merge(cfg, overrides)
+        _validate(cfg)
     if seed is not None:
         _deep_merge(cfg, {"seed": seed})
-    _validate(cfg)
     cfg["profile"] = profile
     return cfg
 
@@ -251,11 +245,43 @@ def write_json(path, tree):
 
 
 def read_json(path):
-    """A JSON input's tree and its provenance entry (path, sha256 of the
-    bytes the tree was parsed from)."""
+    """The object a JSON input holds and its provenance entry (path, sha256
+    of the bytes it was parsed from).  The one parser of JSON inputs:
+    bytes that are not JSON, or that hold no object, raise ParameterError
+    naming the file."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return json.loads(data), (path, hashlib.sha256(data).hexdigest())
+    try:
+        tree = json.loads(data)
+    except ValueError as err:
+        raise ParameterError(f"{path} is not valid JSON: {err}") from None
+    _require(isinstance(tree, dict),
+             f"{path} must hold a JSON object, got {type(tree).__name__}")
+    return tree, (path, hashlib.sha256(data).hexdigest())
+
+
+def _read_artifact(path, environment, blocks):
+    """read_json of a manifest or checkpoint whose version and environment
+    match, with each config block it carries (blocks) merged over the
+    environment's defaults, which have one set of keys and types in every
+    profile: typed and bounded as a config is, and holding every key."""
+    tree, source = read_json(path)
+    with _prefixed(f"{path}: "):
+        for key, want in (("version", ARTIFACT_VERSION),
+                          ("environment", environment)):
+            _require(tree.get(key) == want,
+                     f"{key} must be {want!r}, got {tree.get(key)!r}")
+        defaults = default_config(environment, "desk")
+        for key in blocks:
+            value, default = tree.get(key), defaults[key]
+            if isinstance(default, dict):
+                _require(isinstance(value, dict)
+                         and value.keys() == default.keys(),
+                         f"{key} must be an object with the keys "
+                         f"{', '.join(default)}, got {value!r}")
+            _deep_merge(defaults, {key: value})
+            tree[key] = defaults[key]
+    return tree, source
 
 
 @contextlib.contextmanager
@@ -343,7 +369,7 @@ def optimizer_from_json(tree):
 
 def write_checkpoint(path, models, hyper_tree, environment, epoch, opt_state):
     write_json(path, {
-        "version": CHECKPOINT_VERSION,
+        "version": ARTIFACT_VERSION,
         "environment": environment,
         "epoch": int(epoch),
         "hyper": copy.deepcopy(hyper_tree),
@@ -356,16 +382,9 @@ def _load_models(cfg, out_dir, default_name, inputs):
     """(models, checkpoint tree) of paths.checkpoint, or of default_name in
     out_dir, checked against the config; records provenance in inputs."""
     path = cfg["paths"]["checkpoint"] or os.path.join(out_dir, default_name)
-    tree, inputs["checkpoint"] = read_json(path)
-    _require(isinstance(tree, dict) and "version" in tree,
-             f"{path} is not a checkpoint file")
-    if tree["version"] != CHECKPOINT_VERSION:
-        raise ParameterError(
-            f"checkpoint version {tree['version']} is not supported "
-            f"(this build reads version {CHECKPOINT_VERSION})")
-    _require(tree["environment"] == cfg["environment"],
-             f"checkpoint environment {tree['environment']!r} does not "
-             f"match config environment {cfg['environment']!r}")
+    tree, inputs["checkpoint"] = _read_artifact(path, cfg["environment"],
+                                                ("hyper",))
+    _validate_hyper(tree["hyper"], f"{path}: hyper")
     return models_from_json(tree["models"]), tree
 
 
@@ -426,14 +445,9 @@ def read_pendulum_dataset(path):
 
 def load_manifest(ds_dir, environment, inputs):
     """The checked manifest of the dataset in ds_dir; records provenance."""
-    manifest, inputs["dataset_manifest"] = read_json(
-        os.path.join(ds_dir, "manifest.json"))
-    _require(manifest.get("version") == MANIFEST_VERSION,
-             f"dataset manifest in {ds_dir} has unsupported version "
-             f"{manifest.get('version')}")
-    _require(manifest["environment"] == environment,
-             f"dataset environment {manifest['environment']!r} does not "
-             f"match config environment {environment!r}")
+    manifest, inputs["dataset_manifest"] = _read_artifact(
+        os.path.join(ds_dir, "manifest.json"), environment,
+        ("seed", "dataset", "evaluation"))
     return manifest
 
 
@@ -719,9 +733,7 @@ class PendulumEnvironment:
 
     def closed_loop(self, planner, manifest):
         """Simulate's metrics under the dataset's evaluation protocol."""
-        # read back from the manifest, not config, so typed here
-        protocol = {"runs": int(manifest["evaluation"]["runs"]),
-                    "duration": float(manifest["evaluation"]["duration"])}
+        protocol = manifest["evaluation"]
         stream = RngStream(manifest["seed"]).child(STREAM_DATA).child(2)
         _, metrics = self.simulate(planner, None, stream, protocol)
         del metrics["per_run"]
@@ -736,7 +748,7 @@ class PendulumEnvironment:
 
     def expert_metrics(self, manifest, train, test):
         expert = self.expert(ModelSet(*pendulum_teacher_models()),
-                             int(manifest["teacher"]["expert_horizon"]))
+                             manifest["dataset"]["expert_horizon"])
         return {"closed_loop": self.closed_loop(expert, manifest)}
 
 
@@ -758,7 +770,7 @@ def cmd_gen_data(cfg, out_dir, force):
     env.write_dataset(os.path.join(out_dir, "train_data.csv"), train)
     env.write_dataset(os.path.join(out_dir, "test_data.csv"), test)
     write_json(os.path.join(out_dir, "manifest.json"),
-               {"version": MANIFEST_VERSION, "environment": env.name,
+               {"version": ARTIFACT_VERSION, "environment": env.name,
                 "seed": cfg["seed"], "dataset": cfg["dataset"], **fields})
     write_resolved_config(out_dir, "gen-data", cfg)
     print(summary)

@@ -34,6 +34,7 @@ class PendulumDynamics(FlatParams):
     """
 
     PARAMS = ()
+    CONFIG = ("dt", "gain")
     state_dim = 2
     control_dim = 1
 
@@ -110,13 +111,6 @@ class PendulumDynamics(FlatParams):
         x_bar = np.einsum("bij,bi->bj", A, cot)
         v_bar = np.einsum("bij,bi->bj", Bm, cot)
         return x_bar, v_bar, np.zeros(0)
-
-    def config(self):
-        return {"dt": self.dt, "gain": self.gain}
-
-    @classmethod
-    def from_config(cls, cfg):
-        return cls(dt=cfg["dt"], gain=cfg["gain"])
 
 
 MODEL_TYPES["pendulum_dynamics"] = PendulumDynamics

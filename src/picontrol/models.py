@@ -31,7 +31,18 @@ class FlatParams:
     ``get_params`` concatenates the raveled arrays in ``PARAMS`` order;
     ``set_params`` checks the length and writes back a reshaped copy of
     each array.  Parameter-free models declare ``PARAMS = ()``.
+
+    ``config`` records the constructor arguments named in ``CONFIG`` and
+    ``from_config`` builds a model from them; a model whose config names
+    shapes instead overrides both.
     """
+
+    def config(self):
+        return {name: getattr(self, name) for name in self.CONFIG}
+
+    @classmethod
+    def from_config(cls, cfg):
+        return cls(**{name: cfg[name] for name in cls.CONFIG})
 
     @property
     def num_params(self):
@@ -159,6 +170,7 @@ class MLPDynamics(FlatParams):
     """
 
     PARAMS = ("W1", "b1", "W2", "b2")
+    CONFIG = ("hidden", "dt")
 
     def __init__(self, hidden=12, dt=0.1, init_rng: RngStream | None = None):
         self.hidden = int(hidden)
@@ -202,13 +214,6 @@ class MLPDynamics(FlatParams):
         param_bar = np.concatenate([w1_bar.ravel(), b1_bar, w2_bar.ravel(), b2_bar])
         return x_bar, v_bar, param_bar
 
-    def config(self):
-        return {"hidden": self.hidden, "dt": self.dt}
-
-    @classmethod
-    def from_config(cls, cfg):
-        return cls(hidden=cfg["hidden"], dt=cfg["dt"])
-
 
 class MLPCost(FlatParams):
     """Pendulum cost network: q = ||g(theta, theta_dot)||^2 >= 0.
@@ -219,6 +224,7 @@ class MLPCost(FlatParams):
     """
 
     PARAMS = ("W1", "b1", "W2", "b2")
+    CONFIG = ("hidden", "outputs")
 
     def __init__(self, hidden=12, outputs=12, init_rng: RngStream | None = None):
         self.hidden = int(hidden)
@@ -260,13 +266,6 @@ class MLPCost(FlatParams):
 
     terminal_vjp = running_vjp
 
-    def config(self):
-        return {"hidden": self.hidden, "outputs": self.outputs}
-
-    @classmethod
-    def from_config(cls, cfg):
-        return cls(hidden=cfg["hidden"], outputs=cfg["outputs"])
-
 
 class PendulumTeacherCost(FlatParams):
     """Ground-truth swing-up cost q = phi = (1 + cos theta)^2 + theta_dot^2.
@@ -276,6 +275,7 @@ class PendulumTeacherCost(FlatParams):
     """
 
     PARAMS = ()
+    CONFIG = ()
     state_dim = 2
 
     def running(self, x):
@@ -301,13 +301,6 @@ class PendulumTeacherCost(FlatParams):
         H[:, 0, 0] = -2.0 * np.cos(th) - 2.0 * np.cos(2.0 * th)
         H[:, 1, 1] = 2.0
         return H
-
-    def config(self):
-        return {}
-
-    @classmethod
-    def from_config(cls, cfg):
-        return cls()
 
 
 class ControlCostWeight(FlatParams):

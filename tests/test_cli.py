@@ -2,14 +2,15 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from picontrol.cli import (ENVIRONMENTS, NULLABLE, default_config,
-                           hyper_from_cfg, load_config, main)
+from picontrol.cli import (ENVIRONMENTS, LEAST, NULLABLE, POSITIVE,
+                           default_config, hyper_from_cfg, load_config, main)
 from picontrol.core import RngStream
 from picontrol.envs import sample_linear_teacher
 from picontrol.training import (check_memory_budget, sample_loss_and_grad,
@@ -683,16 +684,121 @@ def test_mistyped_config_leaves_exit_1(tmp_path, capsys, tree, key):
     ({"dataset": {"expert_horizon": 0}}, "dataset.expert_horizon"),
     ({"simulate": {"duration": -1.0}}, "simulate.duration"),
     ({"gradcheck": {"hidden": 0}}, "gradcheck.hidden"),
+    ({"models": {"hidden": 0}}, "models.hidden"),
+    ({"environment": "linear", "dataset": {"demo_horizon": 0}},
+     "dataset.demo_horizon"),
+    ({"environment": "linear", "simulate": {"horizon": 0}},
+     "simulate.horizon"),
+    ({"seed": -1}, "seed"),
 ])
 def test_out_of_range_config_leaves_exit_1(tmp_path, capsys, tree, key):
-    # unchecked, each of these loads and fails later in the command that
-    # reads it (gen-data, simulate, gradcheck), with a message or a
-    # traceback that does not name the key
-    cfg = write_cfg(tmp_path / "cfg.json", merged(PENDULUM_TINY, tree))
+    # unchecked, each of these loads and then fails later in the command
+    # that reads it (gen-data, simulate, gradcheck), with a message or a
+    # traceback that does not name the key, or runs to a meaningless
+    # result (a network with no hidden units)
+    base = LINEAR_TINY if tree.get("environment") == "linear" \
+        else PENDULUM_TINY
+    cfg = write_cfg(tmp_path / "cfg.json", merged(base, tree))
     assert run_cli("gen-data", "--config", cfg, "--out", tmp_path / "o") == 1
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
     assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "export-costmap"])
+def test_negative_seed_flag_exits_1(tmp_path, capsys, command):
+    # unchecked, gen-data fails in the generator with a message that names
+    # no key, and export-costmap records the seed
+    assert run_cli(command, "--out", tmp_path / "o", "--seed", "-1") == 1
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bounds_name_config_leaves_that_every_default_meets():
+    # defaults are never merged, so nothing else checks them against the
+    # bounds; a bound whose name is no leaf would bound nothing
+    seen = set()
+    for environment in ENVIRONMENTS:
+        for profile in ("desk", "paper"):
+            tree = default_config(environment, profile)
+            for name, value in config_leaves(tree):
+                seen.add(name)
+                if name in LEAST and value is not None:
+                    assert value >= LEAST[name], name
+                if name in POSITIVE:
+                    assert value > 0, name
+    assert set(LEAST) | set(POSITIVE) <= seen
+
+
+DROP = object()
+
+
+def edited(text, key, value):
+    """JSON text with the dotted key set to value, or removed for DROP."""
+    tree = json.loads(text)
+    *parents, leaf = key.split(".")
+    node = tree
+    for part in parents:
+        node = node[part]
+    if value is DROP:
+        del node[leaf]
+    else:
+        node[leaf] = value
+    return json.dumps(tree)
+
+
+# whole-file texts, by the name a case gives them
+TEXTS = {"not json": "{not json", "a list": "[]"}
+# (file, dotted key or None for a whole-file text, value, text the error
+# must hold besides the file's path)
+MALFORMED_INPUTS = [
+    ("config", None, "not json", "not valid JSON"),
+    ("config", None, "a list", "must hold a JSON object"),
+    ("config", "environment", "cartpole", "environment"),
+    ("config", "evaluation.runs", 1.9, "evaluation.runs"),
+    ("manifest", None, "not json", "not valid JSON"),
+    ("manifest", None, "a list", "must hold a JSON object"),
+    ("manifest", "version", 2, "version"),
+    ("manifest", "version", DROP, "version"),
+    ("manifest", "environment", "linear", "environment"),
+    ("manifest", "environment", DROP, "environment"),
+    ("manifest", "evaluation.runs", 1.9, "evaluation.runs"),
+    ("manifest", "evaluation.runs", 0, "evaluation.runs"),
+    ("manifest", "dataset.expert_horizon", DROP, "dataset"),
+    ("checkpoint", None, "not json", "not valid JSON"),
+    ("checkpoint", None, "a list", "must hold a JSON object"),
+    ("checkpoint", "version", 2, "version"),
+    ("checkpoint", "version", DROP, "version"),
+    ("checkpoint", "environment", "linear", "environment"),
+    ("checkpoint", "environment", DROP, "environment"),
+    ("checkpoint", "hyper.recurrences", 2.5, "hyper.recurrences"),
+]
+
+
+@pytest.mark.parametrize(
+    "target, key, value, needle", MALFORMED_INPUTS,
+    ids=[f"{target}-{value}" if key is None else
+         f"{target}-{key}-{'drop' if value is DROP else value}"
+         for target, key, value, _ in MALFORMED_INPUTS])
+def test_malformed_inputs_exit_1_naming_the_file(pendulum_run, tmp_path,
+                                                 capsys, target, key, value,
+                                                 needle):
+    # unchecked, these end in a traceback, in a message that names neither
+    # the file nor the key, or in a run under the wrong protocol
+    run_dir, tree = pendulum_run
+    data, ck = tmp_path / "data", tmp_path / "checkpoint.json"
+    shutil.copytree(tree["paths"]["dataset"], data)
+    shutil.copy(run_dir / "checkpoint_best.json", ck)
+    cfg = write_cfg(tmp_path / "cfg.json", merged(tree, {
+        "paths": {"dataset": str(data), "checkpoint": str(ck)}}))
+    path = {"config": tmp_path / "cfg.json", "checkpoint": ck,
+            "manifest": data / "manifest.json"}[target]
+    path.write_text(TEXTS[value] if key is None
+                    else edited(path.read_text(), key, value))
+    assert run_cli("eval", "--config", cfg, "--out", tmp_path / "ev") == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and needle in err and "Traceback" not in err
+    assert not (tmp_path / "ev" / "eval_report.json").exists()
 
 
 def test_an_integer_for_a_number_key_resolves_to_a_float(tmp_path):

@@ -329,3 +329,10 @@ def test_set_params_shape_errors():
         params = model.get_params()
         model.set_params(params)
         assert model.get_params().tobytes() == params.tobytes()
+
+
+def test_config_round_trips_for_every_model_type():
+    # checkpoints store config() and rebuild each model with from_config
+    for name, cls in MODEL_TYPES.items():
+        assert cls.from_config(PARAM_CONFIGS[name]).config() == \
+            PARAM_CONFIGS[name], name
