@@ -30,8 +30,9 @@ from .core import (ConsistencyError, MemoryBudgetError, NumericError,
                    ParameterError, ParamVector, PIHyperParams, RngStream,
                    ShapeError, atomic_open, read_csv, unpack_params,
                    write_csv)
-from .envs import (benchmark_runs, pendulum_expert, pendulum_teacher_models,
-                   sample_linear_teacher, write_trajectory_csv)
+from .envs import (PENDULUM_EXPERT_HORIZON, benchmark_runs, pendulum_expert,
+                   pendulum_teacher_models, sample_linear_teacher,
+                   write_trajectory_csv)
 from .experts import LQRPlanner, LQRProblem, sequence_cost
 from .models import MODEL_TYPES, PendulumTeacherCost, model_type_name
 from .training import (DEFAULT_MEMORY_BUDGET, MPCSample, OpenLoopSample,
@@ -63,18 +64,11 @@ def default_config(environment, profile):
         "memory_budget": DEFAULT_MEMORY_BUDGET,
         "paths": {"dataset": None, "checkpoint": None},
         "gradcheck": {
-            "instances": 20, "tolerance": 1e-4, "floor": 1e-7,
-            "corrupt": None, "freeze": [], "hidden": 12,
+            "instances": 20, "tolerance": 1e-4, "floor": 1e-7, "freeze": [],
             # Gentle settings: a smooth trajectory softmax at tiny scale,
             # so central differences converge.
             "hyper": {"lambda": 0.5, "nu": 1500.0, "sigma": 0.3,
                       "num_samples": 4, "horizon": 3, "recurrences": 2},
-        },
-        "costmap": {
-            "source": "teacher",
-            "theta_cells": 101, "theta_dot_cells": 101,
-            "theta_range": [-math.pi, math.pi],
-            "theta_dot_range": [-2.0 * math.pi, 2.0 * math.pi],
         },
         **ENVIRONMENTS[environment].defaults(profile),
     }
@@ -83,7 +77,7 @@ def default_config(environment, profile):
 # The type of each leaf whose default is null or that may be set to null;
 # every other leaf takes the type of its default.
 NULLABLE = {"paths.dataset": str, "paths.checkpoint": str,
-            "gradcheck.corrupt": str, "hyper.warm_recurrences": int,
+            "hyper.warm_recurrences": int,
             "training.target_test_ctrl_ratio": float,
             "training.pretrain": dict, "evaluation": dict}
 # The least value of each bounded number leaf, and the number leaves that
@@ -95,9 +89,9 @@ LEAST = {"seed": 0, "memory_budget": 1, "models.hidden": 1,
          "dataset.n_test": 0, "dataset.demo_horizon": 1,
          "dataset.n_traj_train": 0, "dataset.n_traj_test": 0,
          "dataset.duration": 0, "dataset.expert_horizon": 1,
-         "gradcheck.instances": 1, "gradcheck.hidden": 1,
-         "costmap.theta_cells": 2, "costmap.theta_dot_cells": 2,
-         "simulate.runs": 1, "simulate.horizon": 1, "evaluation.runs": 1}
+         "gradcheck.instances": 1, "costmap.theta_cells": 2,
+         "costmap.theta_dot_cells": 2, "simulate.runs": 1,
+         "simulate.horizon": 1, "evaluation.runs": 1}
 POSITIVE = ("gradcheck.tolerance", "gradcheck.floor", "simulate.duration",
             "evaluation.duration")
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
@@ -174,18 +168,19 @@ def _validate_segments(name, entries):
 def _validate(cfg):
     """The checks of a merged config that span more than one leaf, or that
     name allowed values; _deep_merge types and bounds each leaf."""
-    gc, cm, sim = cfg["gradcheck"], cfg["costmap"], cfg["simulate"]
+    gc, sim = cfg["gradcheck"], cfg["simulate"]
     _validate_hyper(cfg["hyper"], "hyper")
     _validate_hyper(gc["hyper"], "gradcheck.hyper")
     _validate_segments("training.freeze", cfg["training"]["freeze"])
     _validate_segments("gradcheck.freeze", gc["freeze"])
-    _require(gc["corrupt"] is None or gc["corrupt"] in SEGMENTS,
-             f"gradcheck.corrupt must be null or one of {SEGMENTS}")
-    _require(cm["source"] in ("teacher", "checkpoint"),
-             "costmap.source must be teacher or checkpoint")
-    for key in ("theta_range", "theta_dot_range"):
-        _require(len(cm[key]) == 2 and all(map(_finite, cm[key])),
-                 f"costmap.{key} must be two finite numbers, got {cm[key]}")
+    if "costmap" in cfg:  # a pendulum block
+        cm = cfg["costmap"]
+        _require(cm["source"] in ("teacher", "checkpoint"),
+                 "costmap.source must be teacher or checkpoint")
+        for key in ("theta_range", "theta_dot_range"):
+            _require(len(cm[key]) == 2 and all(map(_finite, cm[key])),
+                     f"costmap.{key} must be two finite numbers, "
+                     f"got {cm[key]}")
     _require(sim["controller"] in ("expert", "pi_teacher", "checkpoint"),
              "simulate.controller must be expert, pi_teacher or checkpoint")
 
@@ -269,8 +264,10 @@ def _read_artifact(path, environment, blocks):
     with _prefixed(f"{path}: "):
         for key, want in (("version", ARTIFACT_VERSION),
                           ("environment", environment)):
-            _require(tree.get(key) == want,
-                     f"{key} must be {want!r}, got {tree.get(key)!r}")
+            got = tree.get(key)
+            # by type too, since true == 1.0 == 1
+            _require(type(got) is type(want) and got == want,
+                     f"{key} must be {want!r}, got {got!r}")
         defaults = default_config(environment, "desk")
         for key in blocks:
             value, default = tree.get(key), defaults[key]
@@ -339,14 +336,38 @@ def models_to_json(models: ModelSet):
 
 
 def models_from_json(tree):
+    """The ModelSet of a models block (models_to_json), each entry checked:
+    a known type, the config keys that type writes, and as many finite
+    params as the model holds.  Errors name the entry; callers run this
+    under _prefixed(file)."""
+    _require(isinstance(tree, dict), f"models must be an object, got {tree!r}")
     built = {}
     for name in SEGMENTS:
-        _require(name in tree, f"checkpoint models lack the {name!r} entry")
-        entry = tree[name]
-        cls = MODEL_TYPES.get(entry["type"])
-        _require(cls is not None, f"unknown model type {entry['type']!r}")
-        model = cls.from_config(entry["config"])
-        model.set_params(np.asarray(entry["params"], dtype=float))
+        key, entry = f"models.{name}", tree.get(name)
+        _require(isinstance(entry, dict)
+                 and entry.keys() == {"type", "config", "params"},
+                 f"{key} must be an object with the keys type, config, "
+                 f"params, got {entry!r}")
+        kind, config, params = entry["type"], entry["config"], entry["params"]
+        cls = MODEL_TYPES.get(kind) if isinstance(kind, str) else None
+        _require(cls is not None, f"{key}.type must be one of "
+                 f"{', '.join(MODEL_TYPES)}, got {kind!r}")
+        try:
+            model = cls.from_config(config)
+        except (KeyError, MemoryError, TypeError, ValueError):
+            model = None
+        # the config the model writes back, compared as JSON: 12.0 is no 12
+        _require(model is not None
+                 and json.dumps(_plain(model.config()), sort_keys=True)
+                 == json.dumps(config, sort_keys=True)
+                 and all(map(_finite, config.values())),
+                 f"{key}.config must be the config of a {kind} (the numbers "
+                 f"{', '.join(cls.CONFIG) or 'none'}), got {config!r}")
+        _require(isinstance(params, list) and all(map(_finite, params))
+                 and len(params) == model.num_params,
+                 f"{key}.params must be a list of {model.num_params} finite "
+                 f"numbers")
+        model.set_params(np.asarray(params, dtype=float))
         built[name] = model
     return ModelSet(built["dynamics"], built["cost"], built["control_weight"])
 
@@ -385,7 +406,8 @@ def _load_models(cfg, out_dir, default_name, inputs):
     tree, inputs["checkpoint"] = _read_artifact(path, cfg["environment"],
                                                 ("hyper",))
     _validate_hyper(tree["hyper"], f"{path}: hyper")
-    return models_from_json(tree["models"]), tree
+    with _prefixed(f"{path}: "):
+        return models_from_json(tree.get("models")), tree
 
 
 # ----------------------------------------------------------------- dataset io
@@ -444,10 +466,17 @@ def read_pendulum_dataset(path):
 
 
 def load_manifest(ds_dir, environment, inputs):
-    """The checked manifest of the dataset in ds_dir; records provenance."""
+    """The checked manifest of the dataset in ds_dir, with its teacher's
+    models built (models_from_json); records provenance."""
+    path = os.path.join(ds_dir, "manifest.json")
     manifest, inputs["dataset_manifest"] = _read_artifact(
-        os.path.join(ds_dir, "manifest.json"), environment,
-        ("seed", "dataset", "evaluation"))
+        path, environment, ("seed", "dataset", "evaluation"))
+    teacher = manifest.get("teacher")
+    with _prefixed(f"{path}: "):
+        _require(isinstance(teacher, dict),
+                 f"teacher must be an object, got {teacher!r}")
+    with _prefixed(f"{path}: teacher."):
+        teacher["models"] = models_from_json(teacher.get("models"))
     return manifest
 
 
@@ -539,7 +568,7 @@ class LinearEnvironment:
                         "n_test": 50 if paper else 20,
                         "demo_horizon": horizon},
             "training": {"epochs": 100, "batch_size": 8,
-                         "loss_weights": {"ctrl": 1.0, "cost": 0.0},
+                         "loss_weights": {"ctrl": 1.0},
                          "freeze": [], "lr": 1e-3, "resume": False,
                          "target_test_ctrl_ratio": 0.1},
             "evaluation": None,
@@ -583,7 +612,7 @@ class LinearEnvironment:
         the dataset's system, which its checkpoints are scored against."""
         manifest = load_manifest(cfg["paths"]["dataset"] or out_dir,
                                  self.name, inputs)
-        return (models_from_json(manifest["teacher"]["models"]),
+        return (manifest["teacher"]["models"],
                 float(manifest["teacher"]["dt"]), cfg["simulate"]["horizon"])
 
     def simulate(self, planner, teacher, root, sim):
@@ -592,7 +621,8 @@ class LinearEnvironment:
         weight_matrix = teacher.weight.matrix()
         trajectories, per_run = [], []
         for i in range(sim["runs"]):
-            x0 = root.child(i).generator().normal(size=4)
+            x0 = root.child(i).generator().normal(
+                size=teacher.dynamics.state_dim)
             useq = planner.plan(x0, rng=root.child(1000 + i))
             total, states = sequence_cost(teacher.dynamics, teacher.cost,
                                           weight_matrix, x0, useq)
@@ -609,8 +639,8 @@ class LinearEnvironment:
         return {}
 
     def expert_metrics(self, manifest, train, test):
-        teacher = models_from_json(manifest["teacher"]["models"])
-        return {"demo_cost": self._demo_costs(teacher, train, test)}
+        return {"demo_cost": self._demo_costs(manifest["teacher"]["models"],
+                                              train, test)}
 
     def _demo_costs(self, teacher, train, test):
         return {"mean_demo_cost_train": mean_demo_cost(teacher, train),
@@ -645,11 +675,11 @@ class PendulumEnvironment:
                       "horizon": 30,
                       "recurrences": 200 if paper else 20,
                       "warm_recurrences": 20 if paper else None},
-            "models": {"hidden": 12, "dt": 0.1},
+            "models": {"hidden": 12},
             "dataset": {"n_traj_train": 50 if paper else 4,
                         "n_traj_test": 10 if paper else 1,
                         "duration": 40.0 if paper else 8.0,
-                        "expert_horizon": 210},
+                        "expert_horizon": PENDULUM_EXPERT_HORIZON},
             "training": {"epochs": 100 if paper else 30,
                          "batch_size": 8,
                          "loss_weights": {"ctrl": 1.0, "cost": 1e-3},
@@ -662,6 +692,10 @@ class PendulumEnvironment:
                            "duration": 60.0 if paper else 10.0},
             "simulate": {"runs": 1, "controller": "expert",
                          "duration": 10.0},
+            "costmap": {"source": "teacher",
+                        "theta_cells": 101, "theta_dot_cells": 101,
+                        "theta_range": [-math.pi, math.pi],
+                        "theta_dot_range": [-2.0 * math.pi, 2.0 * math.pi]},
         }
 
     def generate(self, cfg, root):
@@ -704,8 +738,7 @@ class PendulumEnvironment:
         return read_pendulum_dataset(path)
 
     def init_models(self, cfg, rng):
-        return init_pendulum_models(rng, cfg["models"]["hidden"],
-                                    cfg["models"]["dt"])
+        return init_pendulum_models(rng, cfg["models"]["hidden"])
 
     def expert(self, teacher, horizon):
         # every pendulum teacher is the plant's own models, as in the expert
@@ -1011,6 +1044,7 @@ def _fd_gradient(models, hp, x0, demo, noise_stream, coords):
 
 
 def cmd_gradcheck(cfg, out_dir, force):
+    env = ENVIRONMENTS[cfg["environment"]]
     gc = cfg["gradcheck"]
     refuse_existing(out_dir, ["gradcheck_report.json",
                               "resolved_config.gradcheck.json"], force)
@@ -1025,20 +1059,18 @@ def cmd_gradcheck(cfg, out_dir, force):
     tolerance = gc["tolerance"]
     for i in range(gc["instances"]):
         inst = root.child(i)
-        models = init_pendulum_models(inst, gc["hidden"], 0.1)
-        models.weight.set_params(
-            0.3 * inst.child(2).generator().standard_normal(1))
-        x0 = inst.child(3).generator().normal(size=2)
-        demo = inst.child(4).generator().normal(size=(hp.horizon, 1))
+        models = env.init_models(cfg, inst)
+        weight = models.weight
+        weight.set_params(0.3 * inst.child(2).generator().standard_normal(
+            weight.num_params))
+        x0 = inst.child(3).generator().normal(size=models.dynamics.state_dim)
+        demo = inst.child(4).generator().normal(size=(hp.horizon, weight.dim))
         noise_stream = inst.child(5)
 
         # the training path, frozen segments included
         _, grad = sample_loss_and_grad(models, hp, OpenLoopSample(x0, demo),
                                        "open_loop", noise_stream,
                                        {"ctrl": 1.0}, freeze=frozen)
-        if gc["corrupt"] is not None:
-            # negative-control knob: scales one segment's reverse pass
-            grad.segment(gc["corrupt"])[:] *= 1.001
         for name in frozen:
             frozen_abs[name] = max(frozen_abs[name], float(
                 np.max(np.abs(grad.segment(name)), initial=0.0)))
@@ -1079,7 +1111,6 @@ def cmd_gradcheck(cfg, out_dir, force):
               "instances": gc["instances"],
               "tolerance": tolerance,
               "floor": floor,
-              "corrupt": gc["corrupt"],
               "segments": segments,
               "frozen_max_abs_gradient": frozen_abs,
               "passed": passed}

@@ -42,28 +42,16 @@ class PendulumDynamics(FlatParams):
         self.dt = float(dt)
         self.gain = float(gain)
 
-    def _rhs(self, s, u):
-        out = np.empty_like(s)
-        out[:, 0] = s[:, 1]
-        out[:, 1] = -np.sin(s[:, 0]) + self.gain * u[:, 0]
-        return out
+    def _step(self, x, v):
+        """(one RK4 step of the batch, the angles of its four stages).
 
-    def _jac_state(self, s):
-        J = np.zeros((s.shape[0], 2, 2))
-        J[:, 0, 1] = 1.0
-        J[:, 1, 0] = -np.cos(s[:, 0])
-        return J
-
-    def forward(self, x, v):
-        """One RK4 step of the batch (any leading axes), stepped per state
-        component.
-
-        Bitwise contract: the result equals the literal RK4 step on
-        (B, 2) stage arrays, x + (h/6)(k1 + 2 k2 + 2 k3 + k4) with
-        k_j = _rhs(s_j, v), because it performs the same IEEE operations
-        in the same order.  Each stage's theta derivative is the previous
-        stage's omega, so no stage array is built, and the omega
-        derivative gu - sin(theta) equals -sin(theta) + gu exactly.
+        Stepped per state component.  Bitwise contract: the step equals
+        the literal RK4 step on (B, 2) stage arrays, x + (h/6)(k1 + 2 k2 +
+        2 k3 + k4) with k_j = (omega_j, -sin(theta_j) + gain * v), because
+        it performs the same IEEE operations in the same order.  Each
+        stage's theta derivative is the previous stage's omega, so no
+        stage array is built, and the omega derivative gu - sin(theta)
+        equals -sin(theta) + gu exactly.
         """
         h = self.dt
         a = 0.5 * h
@@ -71,16 +59,23 @@ class PendulumDynamics(FlatParams):
         gu = self.gain * v[..., 0]
         f1 = gu - np.sin(th)
         om2 = om + a * f1
-        f2 = gu - np.sin(th + a * om)
+        th2 = th + a * om
+        f2 = gu - np.sin(th2)
         om3 = om + a * f2
-        f3 = gu - np.sin(th + a * om2)
+        th3 = th + a * om2
+        f3 = gu - np.sin(th3)
         om4 = om + h * f3
-        f4 = gu - np.sin(th + h * om3)
+        th4 = th + h * om3
+        f4 = gu - np.sin(th4)
         c = h / 6.0
         out = np.empty(x.shape)
         out[..., 0] = th + c * (om + 2.0 * om2 + 2.0 * om3 + om4)
         out[..., 1] = om + c * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-        return out
+        return out, (th, th2, th3, th4)
+
+    def forward(self, x, v):
+        """One RK4 step of the batch (any leading axes)."""
+        return self._step(x, v)[0]
 
     def jacobian(self, x, v):
         h = self.dt
@@ -89,18 +84,14 @@ class PendulumDynamics(FlatParams):
         eye = np.broadcast_to(np.eye(2), (B, 2, 2))
         gu = np.zeros((B, 2, 1))
         gu[:, 1, 0] = self.gain
-        k1 = self._rhs(x, v)
-        s2 = x + a * k1
-        k2 = self._rhs(s2, v)
-        s3 = x + a * k2
-        k3 = self._rhs(s3, v)
-        s4 = x + h * k3
-        D1, E1 = self._jac_state(x), gu
-        J2 = self._jac_state(s2)
+        # stage j's state Jacobian is [[0, 1], [-cos(theta_j), 0]]
+        J1, J2, J3, J4 = np.zeros((4, B, 2, 2))
+        for J, angle in zip((J1, J2, J3, J4), self._step(x, v)[1]):
+            J[:, 0, 1] = 1.0
+            J[:, 1, 0] = -np.cos(angle)
+        D1, E1 = J1, gu
         D2, E2 = J2 @ (eye + a * D1), J2 @ (a * E1) + gu
-        J3 = self._jac_state(s3)
         D3, E3 = J3 @ (eye + a * D2), J3 @ (a * E2) + gu
-        J4 = self._jac_state(s4)
         D4, E4 = J4 @ (eye + h * D3), J4 @ (h * E3) + gu
         A = eye + (h / 6.0) * (D1 + 2.0 * D2 + 2.0 * D3 + D4)
         Bm = (h / 6.0) * (E1 + 2.0 * E2 + 2.0 * E3 + E4)
@@ -169,19 +160,22 @@ def linear_teacher_from(A, Gc, dt=0.01) -> LinearTeacher:
     """Build the teacher from raw draws: F = expm(dt (A - A')), G = [Gc; 0].
 
     The drift is the exponential of a scaled skew-symmetric matrix (hence
-    exactly orthogonal); only the first two states are directly actuated.
-    State cost and control weight are identity scaled by the step.
+    exactly orthogonal); only the first Gc.shape[0] states are directly
+    actuated.  State cost and control weight are identity scaled by the
+    step.
     """
     A = np.asarray(A, dtype=float)
     Gc = np.asarray(Gc, dtype=float)
+    (n, _), (actuated, m) = A.shape, Gc.shape
     F = expm(dt * (A - A.T))
-    G = np.vstack([Gc, np.zeros((2, 2))])
-    return LinearTeacher(F, G, np.eye(4) * dt, np.eye(2) * dt, dt)
+    G = np.vstack([Gc, np.zeros((n - actuated, m))])
+    return LinearTeacher(F, G, np.eye(n) * dt, np.eye(m) * dt, dt)
 
 
 def sample_linear_teacher(rng: RngStream, dt=0.01) -> LinearTeacher:
-    """Draw one random linear system (drift entries N(0,1), actuation
-    block entries N(0, dt))."""
+    """Draw one random linear system of 4 states and 2 controls (drift
+    entries N(0,1), actuation block entries N(0, dt)); every other linear
+    shape is read from the system drawn here."""
     gen = rng.generator()
     return linear_teacher_from(gen.normal(size=(4, 4)),
                                gen.normal(0.0, np.sqrt(dt), size=(2, 2)), dt)

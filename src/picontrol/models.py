@@ -34,7 +34,7 @@ class FlatParams:
 
     ``config`` records the constructor arguments named in ``CONFIG`` and
     ``from_config`` builds a model from them; a model whose config names
-    shapes instead overrides both.
+    shapes instead (``CONFIG`` lists those keys) overrides both.
     """
 
     def config(self):
@@ -69,6 +69,7 @@ class LinearDynamics(FlatParams):
     """x' = F x + G v."""
 
     PARAMS = ("F", "G")
+    CONFIG = ("n", "m")
 
     def __init__(self, F, G):
         self.F = np.array(F, dtype=float)
@@ -114,6 +115,7 @@ class QuadraticCost(FlatParams):
     """q(x) = x'Qx / 2, shared as running and terminal cost."""
 
     PARAMS = ("Q",)
+    CONFIG = ("n",)
 
     def __init__(self, Q):
         self.Q = np.array(Q, dtype=float)
@@ -313,6 +315,7 @@ class ControlCostWeight(FlatParams):
     """
 
     PARAMS = ("_params",)
+    CONFIG = ("m",)
 
     def __init__(self, dim, params=None):
         self.dim = int(dim)

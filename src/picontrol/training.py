@@ -17,7 +17,7 @@ from .core import (MemoryBudgetError, NumericError, ParamVector, ParameterError,
                    PIHyperParams, RngStream, ShapeError, unpack_params,
                    write_csv)
 from .envs import (PENDULUM_EXPERT_HORIZON, benchmark_runs, pendulum_expert,
-                   sample_linear_teacher, wrap_angle)
+                   pendulum_teacher_models, sample_linear_teacher, wrap_angle)
 from .experts import LQRPlanner, LQRProblem
 from .models import ControlCostWeight, MLPCost, MLPDynamics, QuadraticCost
 
@@ -169,7 +169,7 @@ def build_linear_dataset(teacher, rng: RngStream, n_train=950, n_test=50,
     def draw(stream, count):
         samples = []
         for i in range(count):
-            x0 = stream.child(i).generator().normal(size=4)
+            x0 = stream.child(i).generator().normal(size=teacher.F.shape[0])
             samples.append(OpenLoopSample(x0, planner.plan(x0)))
         return samples
 
@@ -225,24 +225,28 @@ def init_linear_models(rng: RngStream, dt=0.01) -> ModelSet:
     diagonal so R starts positive definite near the teacher's scale.
     """
     dynamics, _, _ = sample_linear_teacher(rng.child(0), dt).models()
+    n, m = dynamics.state_dim, dynamics.control_dim
     gen = rng.child(1).generator()
     std = np.sqrt(dt)
-    cost = QuadraticCost(gen.normal(0.0, std, size=(4, 4)))
-    rows, cols = np.tril_indices(2)
+    cost = QuadraticCost(gen.normal(0.0, std, size=(n, n)))
+    rows, cols = np.tril_indices(m)
     factor = gen.normal(0.0, std, size=rows.size)
     diag = rows == cols
     factor[diag] = np.clip(np.log(np.abs(factor[diag])),
                            np.log(1e-3), np.log(1e3))
-    return ModelSet(dynamics, cost, ControlCostWeight(2, factor))
+    return ModelSet(dynamics, cost, ControlCostWeight(m, factor))
 
 
-def init_pendulum_models(rng: RngStream, hidden=12, dt=0.1) -> ModelSet:
+def init_pendulum_models(rng: RngStream, hidden=12) -> ModelSet:
     """Untrained network triple for the swing-up experiments.
 
-    The control weight starts at the identity; both networks get the
-    fan-in-scaled random weights and zero biases.
+    The dynamics network steps at the plant's time step.  The control
+    weight starts at the identity; both networks get the fan-in-scaled
+    random weights and zero biases.
     """
-    return ModelSet(MLPDynamics(hidden=hidden, dt=dt, init_rng=rng.child(0)),
+    plant_dynamics, _, _ = pendulum_teacher_models()
+    return ModelSet(MLPDynamics(hidden=hidden, dt=plant_dynamics.dt,
+                                init_rng=rng.child(0)),
                     MLPCost(hidden=hidden, outputs=hidden,
                             init_rng=rng.child(1)),
                     ControlCostWeight(1))

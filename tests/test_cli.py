@@ -521,14 +521,46 @@ def test_gradcheck_passes_and_reports(tmp_path):
         assert report["segments"][segment]["max_rel_err"] < 1e-4
 
 
-def test_gradcheck_detects_corrupted_backward_pass(tmp_path):
+def test_linear_gradcheck_checks_the_linear_models(tmp_path, monkeypatch):
+    checked = []
+
+    def recording(models, *args, **kwargs):
+        checked.append(models)
+        return sample_loss_and_grad(models, *args, **kwargs)
+
+    monkeypatch.setattr("picontrol.cli.sample_loss_and_grad", recording)
     cfg = write_cfg(tmp_path / "cfg.json",
-                    {"gradcheck": {"instances": 1, "corrupt": "cost"}})
+                    {"environment": "linear", "gradcheck": {"instances": 2}})
+    out = tmp_path / "gc"
+    assert run_cli("gradcheck", "--config", cfg, "--out", out, "--seed", "0") == 0
+    report = json.load(open(out / "gradcheck_report.json"))
+    assert report["passed"] is True
+    assert set(report["segments"]) == {"dynamics", "cost", "control_weight"}
+    assert [(type(models.dynamics).__name__, type(models.cost).__name__,
+             models.weight.dim) for models in checked] == [
+        ("LinearDynamics", "QuadraticCost", 2)] * 2
+
+
+@pytest.mark.parametrize("segment", ["dynamics", "cost", "control_weight"])
+@pytest.mark.parametrize("environment", ["linear", "pendulum"])
+def test_gradcheck_detects_corrupted_backward_pass(tmp_path, monkeypatch,
+                                                   environment, segment):
+    # negative control: a reverse pass off by 0.1% in one segment must fail
+    def corrupted(*args, **kwargs):
+        metrics, grad = sample_loss_and_grad(*args, **kwargs)
+        grad.segment(segment)[:] *= 1.001
+        return metrics, grad
+
+    monkeypatch.setattr("picontrol.cli.sample_loss_and_grad", corrupted)
+    cfg = write_cfg(tmp_path / "cfg.json", {"environment": environment,
+                                            "gradcheck": {"instances": 1}})
     out = tmp_path / "gc"
     assert run_cli("gradcheck", "--config", cfg, "--out", out, "--seed", "0") == 2
     report = json.load(open(out / "gradcheck_report.json"))
     assert report["passed"] is False
-    assert report["segments"]["cost"]["max_rel_err"] > 1e-4
+    assert [name for name, entry in report["segments"].items()
+            if entry["failed"]] == [segment]
+    assert report["segments"][segment]["max_rel_err"] > 1e-4
 
 
 def test_gradcheck_frozen_segment_has_exactly_zero_gradient(tmp_path):
@@ -612,7 +644,30 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
              # linear training never pretrains
              ("gen-data", {"environment": "linear",
                            "training": {"pretrain": None}},
-              "training.pretrain")]
+              "training.pretrain"),
+             # gradcheck builds the configured models, and its negative
+             # control patches the reverse pass instead of a key
+             ("gradcheck", {"gradcheck": {"hidden": 12}}, "gradcheck.hidden"),
+             ("gradcheck", {"environment": "linear",
+                            "gradcheck": {"hidden": 12}}, "gradcheck.hidden"),
+             ("gradcheck", {"gradcheck": {"corrupt": "cost"}},
+              "gradcheck.corrupt"),
+             ("gradcheck", {"environment": "linear",
+                            "gradcheck": {"corrupt": None}},
+              "gradcheck.corrupt"),
+             # the pendulum learner steps at the plant's time step
+             ("gen-data", {"models": {"dt": 0.1}}, "models.dt"),
+             # linear datasets have no goals to score a cost loss against
+             ("gen-data", {"environment": "linear",
+                           "training": {"loss_weights": {"cost": 0.0}}},
+              "training.loss_weights.cost")]
+    # cost maps are pendulum-only
+    cases += [("gen-data", {"environment": "linear", "costmap": {leaf: value}},
+               "costmap")
+              for leaf, value in (("source", "teacher"), ("theta_cells", 5),
+                                  ("theta_dot_cells", 5),
+                                  ("theta_range", [-1.0, 1.0]),
+                                  ("theta_dot_range", [-1.0, 1.0]))]
     for command, tree, key in cases:
         cfg = write_cfg(tmp_path / "cfg.json", tree)
         assert run_cli(command, "--config", cfg, "--out", tmp_path / "o",
@@ -683,7 +738,7 @@ def test_mistyped_config_leaves_exit_1(tmp_path, capsys, tree, key):
 @pytest.mark.parametrize("tree, key", [
     ({"dataset": {"expert_horizon": 0}}, "dataset.expert_horizon"),
     ({"simulate": {"duration": -1.0}}, "simulate.duration"),
-    ({"gradcheck": {"hidden": 0}}, "gradcheck.hidden"),
+    ({"gradcheck": {"instances": 0}}, "gradcheck.instances"),
     ({"models": {"hidden": 0}}, "models.hidden"),
     ({"environment": "linear", "dataset": {"demo_horizon": 0}},
      "dataset.demo_horizon"),
@@ -760,6 +815,8 @@ MALFORMED_INPUTS = [
     ("manifest", None, "a list", "must hold a JSON object"),
     ("manifest", "version", 2, "version"),
     ("manifest", "version", DROP, "version"),
+    ("manifest", "version", True, "version"),
+    ("manifest", "version", 1.0, "version"),
     ("manifest", "environment", "linear", "environment"),
     ("manifest", "environment", DROP, "environment"),
     ("manifest", "evaluation.runs", 1.9, "evaluation.runs"),
@@ -769,9 +826,25 @@ MALFORMED_INPUTS = [
     ("checkpoint", None, "a list", "must hold a JSON object"),
     ("checkpoint", "version", 2, "version"),
     ("checkpoint", "version", DROP, "version"),
+    ("checkpoint", "version", True, "version"),
+    ("checkpoint", "version", 1.0, "version"),
     ("checkpoint", "environment", "linear", "environment"),
     ("checkpoint", "environment", DROP, "environment"),
     ("checkpoint", "hyper.recurrences", 2.5, "hyper.recurrences"),
+    ("checkpoint", "models.dynamics", 5, "models.dynamics"),
+    ("checkpoint", "models.cost", DROP, "models.cost"),
+    ("checkpoint", "models.cost.type", "mlp_costs", "models.cost.type"),
+    ("checkpoint", "models.cost.type", [], "models.cost.type"),
+    ("checkpoint", "models.cost.config.hidden", DROP, "models.cost.config"),
+    ("checkpoint", "models.dynamics.config.hidden", "12",
+     "models.dynamics.config"),
+    ("checkpoint", "models.cost.params", [0.0], "models.cost.params"),
+    ("checkpoint", "models.control_weight.params", ["0.0"],
+     "models.control_weight.params"),
+    ("manifest", "teacher.models.dynamics", 5, "teacher.models.dynamics"),
+    ("manifest", "teacher.models.cost.config.gain", 0.5,
+     "teacher.models.cost.config"),
+    ("manifest", "teacher", DROP, "teacher"),
 ]
 
 

@@ -8,10 +8,10 @@ OUT_DIR (which must not hold earlier results), including one train and
 one gradcheck with a frozen segment, a pendulum simulate whose planner
 warm-starts, and a linear gen-data, train and eval without a test split
 (its test_data.csv is empty and its test metrics are null).  Gradcheck
-and export-costmap do not depend on the environment (export-costmap
-refuses a linear config), so they run on the pendulum only.  Command
-output goes to stderr; stdout gets one ``sha256  path`` line per
-artifact, path relative to OUT_DIR, sorted.
+checks each environment's own models; export-costmap refuses a linear
+config, so it runs on the pendulum only.  Command output goes to stderr;
+stdout gets one ``sha256  path`` line per artifact, path relative to
+OUT_DIR, sorted.
 Artifacts are byte-identical on rerun, so two checkouts can be compared
 with one diff:
 
@@ -82,6 +82,9 @@ def runs(out):
              {**use_data, "simulate": {"controller": "pi_teacher"}}),
             ("simulate-checkpoint", "simulate",
              {**use_both, "simulate": {"controller": "checkpoint"}}),
+            ("gradcheck", "gradcheck", {}),
+            ("gradcheck-frozen", "gradcheck",
+             {"gradcheck": {"freeze": ["dynamics"]}}),
         ]
         if env == "linear":
             empty = os.path.join(out, env, "gen-data-no-test")
@@ -96,9 +99,6 @@ def runs(out):
             ]
         if env == "pendulum":
             trees += [
-                ("gradcheck", "gradcheck", {}),
-                ("gradcheck-frozen", "gradcheck",
-                 {"gradcheck": {"freeze": ["dynamics"]}}),
                 ("export-costmap", "export-costmap", {}),
                 ("export-costmap-checkpoint", "export-costmap",
                  {"paths": {"checkpoint": best},
