@@ -27,9 +27,8 @@ import numpy as np
 
 from .controller import ModelSet, PathIntegralPlanner, pi_net_forward
 from .core import (ConsistencyError, MemoryBudgetError, NumericError,
-                   ParameterError, ParamVector, PIHyperParams, RngStream,
-                   ShapeError, atomic_open, read_csv, unpack_params,
-                   write_csv)
+                   ParameterError, PIHyperParams, RngStream, ShapeError,
+                   atomic_open, read_csv, write_csv)
 from .envs import (PENDULUM_EXPERT_HORIZON, benchmark_runs, pendulum_expert,
                    pendulum_teacher_models, sample_linear_teacher,
                    write_trajectory_csv)
@@ -467,7 +466,8 @@ def read_pendulum_dataset(path):
 
 def load_manifest(ds_dir, environment, inputs):
     """The checked manifest of the dataset in ds_dir, with its teacher's
-    models built (models_from_json); records provenance."""
+    models built (models_from_json) and its environment's teacher numbers
+    checked finite and > 0; records provenance."""
     path = os.path.join(ds_dir, "manifest.json")
     manifest, inputs["dataset_manifest"] = _read_artifact(
         path, environment, ("seed", "dataset", "evaluation"))
@@ -477,6 +477,11 @@ def load_manifest(ds_dir, environment, inputs):
                  f"teacher must be an object, got {teacher!r}")
     with _prefixed(f"{path}: teacher."):
         teacher["models"] = models_from_json(teacher.get("models"))
+        for key in ENVIRONMENTS[environment].teacher_numbers:
+            value = teacher.get(key)
+            _require(_finite(value) and value > 0,
+                     f"{key} must be a finite number > 0, got {value!r}")
+            teacher[key] = float(value)
     return manifest
 
 
@@ -554,6 +559,7 @@ class LinearEnvironment:
     regime = "open_loop"
     goals = None
     reference_results = ()
+    teacher_numbers = ("dt",)  # manifest teacher fields besides the models
 
     def defaults(self, profile):
         paper = profile == "paper"
@@ -613,7 +619,7 @@ class LinearEnvironment:
         manifest = load_manifest(cfg["paths"]["dataset"] or out_dir,
                                  self.name, inputs)
         return (manifest["teacher"]["models"],
-                float(manifest["teacher"]["dt"]), cfg["simulate"]["horizon"])
+                manifest["teacher"]["dt"], cfg["simulate"]["horizon"])
 
     def simulate(self, planner, teacher, root, sim):
         """(states, controls) per run and metrics of one plan per
@@ -657,6 +663,7 @@ class PendulumEnvironment:
     name = "pendulum"
     regime = "mpc"
     goals = PENDULUM_GOALS
+    teacher_numbers = ()
     # published swing-up benchmark rows, printed next to our numbers
     reference_results = (
         "reference swing-up results:",
@@ -837,7 +844,7 @@ def cmd_train(cfg, out_dir, force):
         start_epoch = int(ck["epoch"])
     else:
         models = env.init_models(cfg, root.child(0))
-        opt = OptimizerState(v=np.zeros(models.pack().size), lr=tr["lr"])
+        opt = OptimizerState(v=np.zeros(models.num_params), lr=tr["lr"])
         start_epoch = 0
     # refuse oversized configs before spending time on evals or pretraining
     check_memory_budget(hp, models.dynamics.state_dim, models.weight.dim,
@@ -1015,20 +1022,19 @@ def _fd_gradient(models, hp, x0, demo, noise_stream, coords):
     reporting floor.  Extrapolating two central stencils at a wider step
     keeps truncation negligible while shrinking the roundoff term.
     """
-    base = models.pack()
-    layout = base.layout
+    base = models.get_params()
     fd = np.zeros(base.size)
     eps = 1e-4
 
     def loss_at(vec):
-        unpack_params(ParamVector(layout, vec), models.items())
+        models.set_params(vec)
         out, _ = pi_net_forward(x0, None, models, hp, noise_stream,
                                 record=False)
         return loss_ctrl(out, demo)
 
     def central(j, step):
-        hi = base.values.copy()
-        lo = base.values.copy()
+        hi = base.copy()
+        lo = base.copy()
         hi[j] += step
         lo[j] -= step
         return (loss_at(hi) - loss_at(lo)) / (2.0 * step)
@@ -1039,7 +1045,7 @@ def _fd_gradient(models, hp, x0, demo, noise_stream, coords):
             narrow = central(j, eps / 2.0)
             fd[j] = (4.0 * narrow - wide) / 3.0
     finally:
-        unpack_params(base, models.items())
+        models.set_params(base)
     return fd
 
 

@@ -21,7 +21,8 @@ import numpy as np
 
 from .core import (ConsistencyError, NumericError, ParameterError,
                    ParamVector, PIHyperParams, RngStream, ShapeError,
-                   gaussian_noise, pack_params, require_count)
+                   gaussian_noise, pack_params, require_count,
+                   unpack_params)
 from .models import control_penalty
 
 
@@ -39,6 +40,17 @@ class ModelSet:
 
     def pack(self) -> ParamVector:
         return pack_params(self.items())
+
+    # the flat-parameter contract of a model (core), over all three pieces
+    @property
+    def num_params(self):
+        return sum(model.num_params for _, model in self.items())
+
+    def get_params(self):
+        return self.pack().values
+
+    def set_params(self, vec):
+        unpack_params(ParamVector(self.pack().layout, vec), self.items())
 
 
 @dataclass
@@ -165,12 +177,6 @@ def _softmax_weights(ctg, lambda_):
 def _weighted_update(useq, weights, noise):
     """The plan plus the weight-averaged perturbation at each timestep."""
     return useq + np.einsum("...ki,...kim->...im", weights, noise)
-
-
-def update_controls(useq, noise, ctg, lambda_):
-    """Exponentially cost-weighted perturbation average, per timestep."""
-    w = _softmax_weights(np.asarray(ctg, dtype=float), lambda_)
-    return _weighted_update(np.asarray(useq, dtype=float), w, noise)
 
 
 def _kernel_record(x0, useq, noise, models: ModelSet, hp: PIHyperParams,

@@ -3,19 +3,21 @@
 Three regimes mirror the experimental recipes: dynamics pre-training on
 transition data, open-loop imitation of full expert sequences (linear
 systems), and MPC-style imitation of first controls with the dynamics
-model frozen (pendulum).  All gradients flow through the recorded
-controller forward pass; nothing here differentiates anything itself.
+model frozen (pendulum).  Pre-training and imitation share one epoch loop
+(minibatch RMSProp with the plateau schedule) and differ only in their
+batch gradient and in what each epoch measures.  Evaluation and training
+score a planned sample through one loss rule.  All imitation gradients
+flow through the recorded controller forward pass.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .controller import ModelSet, pi_net_backward, pi_net_forward
-from .core import (MemoryBudgetError, NumericError, ParamVector, ParameterError,
-                   PIHyperParams, RngStream, ShapeError, unpack_params,
-                   write_csv)
+from .core import (MemoryBudgetError, NumericError, ParameterError,
+                   PIHyperParams, RngStream, ShapeError, write_csv)
 from .envs import (PENDULUM_EXPERT_HORIZON, benchmark_runs, pendulum_expert,
                    pendulum_teacher_models, sample_linear_teacher, wrap_angle)
 from .experts import LQRPlanner, LQRProblem
@@ -23,6 +25,10 @@ from .models import ControlCostWeight, MLPCost, MLPDynamics, QuadraticCost
 
 PENDULUM_GOALS = np.array([[np.pi, 0.0], [-np.pi, 0.0]])
 DEFAULT_MEMORY_BUDGET = 1 << 30  # one GiB of tape per training batch
+RMSPROP_DECAY = 0.9
+RMSPROP_EPSILON = 1e-8
+PLATEAU_PATIENCE = 5
+PLATEAU_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -51,15 +57,23 @@ def loss_ctrl(pred, demo):
     A full-sequence demo (N, m) is compared entrywise; a single-control
     demo (m,) is compared against the first predicted control only.
     """
+    return _ctrl_error(pred, demo)[0]
+
+
+def _ctrl_error(pred, demo):
+    """(loss_ctrl, its cotangent on pred): the compared rows of pred are
+    all N against an (N, m) demo and the first against an (m,) demo; the
+    other rows get a zero cotangent."""
     pred = np.asarray(pred, dtype=float)
     demo = np.asarray(demo, dtype=float)
-    if demo.ndim == 1:
-        if pred.shape[1] != demo.shape[0]:
-            raise ShapeError(f"control dims differ: {pred.shape} vs {demo.shape}")
-        return float(np.mean((pred[0] - demo) ** 2))
-    if pred.shape != demo.shape:
-        raise ShapeError(f"sequence shapes differ: {pred.shape} vs {demo.shape}")
-    return float(np.mean((pred - demo) ** 2))
+    head = pred[:1] if demo.ndim == 1 else pred
+    if head.shape != np.atleast_2d(demo).shape:
+        raise ShapeError(f"predicted controls {pred.shape} do not match the "
+                         f"demo {demo.shape}")
+    diff = head - demo
+    cot = np.zeros_like(pred)
+    cot[:len(head)] = (2.0 / demo.size) * diff
+    return float(np.mean(diff ** 2)), cot
 
 
 def _stack_transitions(samples):
@@ -85,24 +99,24 @@ def loss_dyn(dynamics, samples, wrap=False):
 
 def loss_cost(cost_model, goals, x_batch):
     """Goal-margin ramp: mean over pairs of max(0, q(goal) - q(x))."""
-    goals = np.atleast_2d(np.asarray(goals, dtype=float))
-    x_batch = np.atleast_2d(np.asarray(x_batch, dtype=float))
-    q_g = cost_model.running(goals)
-    q_x = cost_model.running(x_batch)
-    return float(np.mean(np.maximum(0.0, q_g[None, :] - q_x[:, None])))
+    return _goal_margin(cost_model, goals, x_batch)[0]
 
 
-def _loss_cost_param_grad(cost_model, goals, x_batch):
-    """Gradient of loss_cost with respect to the cost parameters."""
+def _goal_margin(cost_model, goals, x_batch, grad=False):
+    """(loss_cost, its gradient on the cost parameters or None without
+    grad), both from one evaluation of q on the goals and on the states."""
     goals = np.atleast_2d(np.asarray(goals, dtype=float))
     x_batch = np.atleast_2d(np.asarray(x_batch, dtype=float))
-    q_g = cost_model.running(goals)
-    q_x = cost_model.running(x_batch)
-    active = (q_g[None, :] - q_x[:, None]) > 0.0  # (B, G)
+    margin = (cost_model.running(goals)[None, :]
+              - cost_model.running(x_batch)[:, None])  # (B, G)
+    loss = float(np.mean(np.maximum(0.0, margin)))
+    if not grad:
+        return loss, None
+    active = margin > 0.0
     scale = 1.0 / active.size
     _, g_bar = cost_model.running_vjp(goals, active.sum(axis=0) * scale)
     _, x_bar = cost_model.running_vjp(x_batch, -active.sum(axis=1) * scale)
-    return g_bar + x_bar
+    return loss, g_bar + x_bar
 
 
 # -------------------------------------------------------------- optimizer
@@ -124,33 +138,62 @@ class OptimizerState:
             raise ParameterError("second-moment accumulators must be >= 0")
 
 
-def rmsprop_step(params, grads, state: OptimizerState, decay=0.9,
-                 epsilon=1e-8):
-    """One in-place RMSProp update; entries with a zero gradient keep their
-    value bitwise (p - lr * 0 / (sqrt(v) + eps) == p)."""
-    if not (0.0 < decay < 1.0) or epsilon <= 0:
-        raise ParameterError("decay must lie in (0, 1) and epsilon above 0")
+def rmsprop_step(params, grads, state: OptimizerState):
+    """One in-place RMSProp update with decay RMSPROP_DECAY (0.9) and
+    epsilon RMSPROP_EPSILON (1e-8); entries with a zero gradient keep
+    their value bitwise (p - lr * 0 / (sqrt(v) + eps) == p)."""
     params = np.asarray(params)
     grads = np.asarray(grads, dtype=float)
     if params.shape != grads.shape or params.shape != state.v.shape:
         raise ShapeError("parameter/gradient/accumulator shapes differ")
-    state.v[:] = decay * state.v + (1.0 - decay) * grads * grads
-    params -= state.lr * grads / (np.sqrt(state.v) + epsilon)
+    state.v[:] = (RMSPROP_DECAY * state.v
+                  + (1.0 - RMSPROP_DECAY) * grads * grads)
+    params -= state.lr * grads / (np.sqrt(state.v) + RMSPROP_EPSILON)
     return params
 
 
-def lr_plateau_schedule(state: OptimizerState, epoch_loss, patience=5,
-                        factor=2.0) -> OptimizerState:
-    """Halve the rate after `patience` consecutive non-improving epochs."""
+def lr_plateau_schedule(state: OptimizerState, epoch_loss) -> OptimizerState:
+    """Divide the rate by PLATEAU_FACTOR (2) after PLATEAU_PATIENCE (5)
+    consecutive non-improving epochs."""
     if epoch_loss < state.best_loss:
         state.best_loss = epoch_loss
         state.epochs_since_improvement = 0
     else:
         state.epochs_since_improvement += 1
-        if state.epochs_since_improvement >= patience:
-            state.lr /= factor
+        if state.epochs_since_improvement >= PLATEAU_PATIENCE:
+            state.lr /= PLATEAU_FACTOR
             state.epochs_since_improvement = 0
     return state
+
+
+def _descend(model, state: OptimizerState, size, batch_size, rng: RngStream,
+             epochs, batch_grad, measure, loss_key, start_epoch=0):
+    """Minibatch RMSProp over a dataset of size samples, yielding one
+    history row per epoch, the state before start_epoch + 1 first.
+
+    Epoch e steps the model's flat parameters once per batch_size slice of
+    the order rng.child(e) permutes the samples into, along
+    batch_grad(e, slice).  Its row is {"epoch": e, "lr": the rate those
+    steps used, **measure()}; the row's loss_key value must be finite and
+    drives lr_plateau_schedule before the row is yielded.
+
+    Raises:
+        NumericError: the loss left the finite range.
+    """
+    yield {"epoch": start_epoch, "lr": state.lr, **measure()}
+    for epoch in range(start_epoch + 1, epochs + 1):
+        order = rng.child(epoch).generator().permutation(size)
+        for lo in range(0, size, batch_size):
+            grad = batch_grad(epoch, order[lo:lo + batch_size])
+            params = model.get_params()
+            rmsprop_step(params, grad, state)
+            model.set_params(params)
+        row = {"epoch": epoch, "lr": state.lr, **measure()}
+        if not np.isfinite(row[loss_key]):
+            raise NumericError(f"loss diverged at epoch {epoch}: {loss_key} "
+                               f"{row[loss_key]}")
+        lr_plateau_schedule(state, row[loss_key])
+        yield row
 
 
 # --------------------------------------------------------------- datasets
@@ -267,38 +310,25 @@ def pretrain_dynamics(dynamics, train_samples, test_samples, epochs,
     """
     if not train_samples:
         raise ParameterError("training set is empty")
-    rng = rng or RngStream(0)
     train = _stack_transitions(train_samples)
     test = _stack_transitions(test_samples) if test_samples else None
     X, U, Xn = train
-    state = OptimizerState(v=np.zeros(dynamics.num_params), lr=lr)
 
     def mse(data):
         if data is None:
             return None
         return float(np.mean(_dyn_residual(dynamics, *data, wrap) ** 2))
 
-    history = [{"epoch": 0, "lr": state.lr, "train_dyn": mse(train),
-                "test_dyn": mse(test)}]
-    for epoch in range(1, epochs + 1):
-        order = rng.child(epoch).generator().permutation(X.shape[0])
-        for lo in range(0, X.shape[0], batch_size):
-            idx = order[lo:lo + batch_size]
-            xb, ub = X[idx], U[idx]
-            diff = _dyn_residual(dynamics, xb, ub, Xn[idx], wrap)
-            cot = (2.0 / diff.size) * diff
-            _, _, grad = dynamics.vjp(xb, ub, cot)
-            params = dynamics.get_params()
-            rmsprop_step(params, grad, state)
-            dynamics.set_params(params)
-        train_loss = mse(train)
-        if not np.isfinite(train_loss):
-            raise NumericError(f"dynamics loss diverged at epoch {epoch}: "
-                               f"{train_loss}")
-        lr_plateau_schedule(state, train_loss)
-        history.append({"epoch": epoch, "lr": state.lr,
-                        "train_dyn": train_loss, "test_dyn": mse(test)})
-    return history
+    def batch_grad(epoch, idx):
+        xb, ub = X[idx], U[idx]
+        diff = _dyn_residual(dynamics, xb, ub, Xn[idx], wrap)
+        return dynamics.vjp(xb, ub, (2.0 / diff.size) * diff)[2]
+
+    return list(_descend(
+        dynamics, OptimizerState(v=np.zeros(dynamics.num_params), lr=lr),
+        X.shape[0], batch_size, rng or RngStream(0), epochs, batch_grad,
+        lambda: {"train_dyn": mse(train), "test_dyn": mse(test)},
+        "train_dyn"))
 
 
 # ------------------------------------------------------- end-to-end loops
@@ -335,6 +365,21 @@ def _start_and_demo(sample, regime):
     raise ParameterError(f"unknown regime {regime!r}")
 
 
+def _sample_losses(models, plan, x0, demo, loss_weights, goals,
+                   grad=False):
+    """One planned sample's {"ctrl", "cost"} losses, the control loss's
+    cotangent on the plan, and the cost loss's gradient on the cost
+    parameters, None unless grad is set and the cost term is on (it has a
+    nonzero weight and goals are given)."""
+    ctrl, cot = _ctrl_error(plan, demo)
+    losses = {"ctrl": ctrl, "cost": 0.0}
+    cost_grad = None
+    if loss_weights.get("cost", 0.0) != 0.0 and goals is not None:
+        losses["cost"], cost_grad = _goal_margin(models.cost, goals,
+                                                 x0[None, :], grad)
+    return losses, cot, cost_grad
+
+
 def sample_loss_and_grad(models: ModelSet, hp: PIHyperParams, sample, regime,
                          rng: RngStream, loss_weights, goals=None, freeze=()):
     """Loss components and parameter gradient for one training sample.
@@ -352,21 +397,12 @@ def sample_loss_and_grad(models: ModelSet, hp: PIHyperParams, sample, regime,
         of the weighted total).
     """
     x0, demo = _start_and_demo(sample, regime)
-    out, tape = pi_net_forward(x0, None, models, hp, rng, record=True)
-    w_ctrl = loss_weights.get("ctrl", 1.0)
-    w_cost = loss_weights.get("cost", 0.0)
-    l_ctrl = loss_ctrl(out, demo)
-    if regime == "open_loop":
-        cot = (2.0 / demo.size) * (out - demo)
-    else:
-        cot = np.zeros_like(out)
-        cot[0] = (2.0 / demo.size) * (out[0] - demo)
-    grad = pi_net_backward(tape, w_ctrl * cot, models)
-    metrics = {"ctrl": l_ctrl, "cost": 0.0}
-    if w_cost != 0.0 and goals is not None:
-        metrics["cost"] = loss_cost(models.cost, goals, x0[None, :])
-        grad.segment("cost")[:] += w_cost * _loss_cost_param_grad(
-            models.cost, goals, x0[None, :])
+    plan, tape = pi_net_forward(x0, None, models, hp, rng, record=True)
+    metrics, cot, cost_grad = _sample_losses(models, plan, x0, demo,
+                                             loss_weights, goals, grad=True)
+    grad = pi_net_backward(tape, loss_weights.get("ctrl", 1.0) * cot, models)
+    if cost_grad is not None:
+        grad.segment("cost")[:] += loss_weights["cost"] * cost_grad
     for name in freeze:
         grad.segment(name)[:] = 0.0
     return metrics, grad
@@ -384,32 +420,23 @@ def evaluate_losses(models, hp, samples, regime, rng, loss_weights, goals=None):
     """
     if not samples:
         return {"ctrl": None, "cost": None, "total": None}
-    chunk = hp.recurrences
     per_sample = []
-    for lo in range(0, len(samples), chunk):
-        part = samples[lo:lo + chunk]
-        per_sample += _plan_losses(
-            models, hp, part, regime,
-            [rng.child(idx) for idx in range(lo, lo + len(part))],
-            loss_weights, goals)
+    for lo in range(0, len(samples), hp.recurrences):
+        starts, demos = zip(*(_start_and_demo(s, regime)
+                              for s in samples[lo:lo + hp.recurrences]))
+        # sample i of the chunk plans on its dataset index's stream
+        plans, _ = pi_net_forward(
+            np.stack(starts), None, models, hp,
+            [rng.child(idx) for idx in range(lo, lo + len(starts))])
+        per_sample += [
+            _sample_losses(models, plan, x0, demo, loss_weights, goals)[0]
+            for x0, demo, plan in zip(starts, demos, plans)]
     count = len(samples)
     ctrl = sum(m["ctrl"] for m in per_sample) / count
     cost = sum(m["cost"] for m in per_sample) / count
     total = (loss_weights.get("ctrl", 1.0) * ctrl
              + loss_weights.get("cost", 0.0) * cost)
     return {"ctrl": ctrl, "cost": cost, "total": total}
-
-
-def _plan_losses(models, hp, samples, regime, streams, loss_weights, goals):
-    """Loss components of each sample, planned together as one batch;
-    sample i draws its planner noise from streams[i]."""
-    starts, demos = zip(*(_start_and_demo(s, regime) for s in samples))
-    plans, _ = pi_net_forward(np.stack(starts), None, models, hp, streams)
-    with_cost = loss_weights.get("cost", 0.0) != 0.0 and goals is not None
-    return [{"ctrl": loss_ctrl(plan, demo),
-             "cost": (loss_cost(models.cost, goals, x0[None, :])
-                      if with_cost else 0.0)}
-            for x0, demo, plan in zip(starts, demos, plans)]
 
 
 def train_pinet(models: ModelSet, hp: PIHyperParams, train_set, test_set,
@@ -451,62 +478,47 @@ def train_pinet(models: ModelSet, hp: PIHyperParams, train_set, test_set,
     rng = rng or RngStream(0)
     x0, _ = _start_and_demo(train_set[0], regime)
     check_memory_budget(hp, x0.size, models.weight.dim, memory_budget)
-    layout = models.pack().layout
-    unknown = set(freeze) - {name for name, _, _ in layout}
+    unknown = set(freeze) - {name for name, _ in models.items()}
     if unknown:
         raise ParameterError(f"unknown frozen segments {sorted(unknown)}")
     if opt_state is None:
-        state = OptimizerState(v=np.zeros(models.pack().size), lr=lr)
-    else:
-        if opt_state.v.shape != (models.pack().size,):
-            raise ShapeError("optimizer state does not match the parameter "
-                             f"count: {opt_state.v.shape} vs "
-                             f"({models.pack().size},)")
-        state = opt_state
+        opt_state = OptimizerState(v=np.zeros(models.num_params), lr=lr)
+    elif opt_state.v.shape != (models.num_params,):
+        raise ShapeError("optimizer state does not match the parameter "
+                         f"count: {opt_state.v.shape} vs "
+                         f"({models.num_params},)")
     eval_rng = rng.child(0)
 
-    def snapshot(epoch):
-        train_m = evaluate_losses(models, hp, train_set, regime,
-                                  eval_rng.child(1), loss_weights, goals)
-        test_m = evaluate_losses(models, hp, test_set, regime,
-                                 eval_rng.child(2), loss_weights, goals)
-        return {"epoch": epoch, "lr": state.lr,
-                "train_ctrl": train_m["ctrl"], "train_cost": train_m["cost"],
-                "train_total": train_m["total"],
-                "test_ctrl": test_m["ctrl"], "test_cost": test_m["cost"],
-                "test_total": test_m["total"]}
+    def batch_grad(epoch, idx):
+        grad = np.zeros(models.num_params)
+        # reduction runs in ascending dataset-index order
+        for j in np.sort(idx):
+            grad += sample_loss_and_grad(
+                models, hp, train_set[j], regime, rng.child(epoch, int(j)),
+                loss_weights, goals, freeze)[1].values
+        grad /= len(idx)
+        return grad
 
-    history = [snapshot(start_epoch)]
-    best_test = math.inf
-    if history[0]["test_total"] is not None:
-        best_test = history[0]["test_total"]
-        if on_best:
-            on_best(start_epoch, models, history[0])
-    for epoch in range(start_epoch + 1, epochs + 1):
-        order = rng.child(epoch).generator().permutation(len(train_set))
-        for lo in range(0, len(order), batch_size):
-            # reduction runs in ascending dataset-index order
-            idx = np.sort(order[lo:lo + batch_size])
-            batch_grad = np.zeros(state.v.shape)
-            for j in idx:
-                _, grad = sample_loss_and_grad(
-                    models, hp, train_set[j], regime,
-                    rng.child(epoch, int(j)), loss_weights, goals, freeze)
-                batch_grad += grad.values
-            batch_grad /= len(idx)
-            params = models.pack().values
-            rmsprop_step(params, batch_grad, state)
-            unpack_params(ParamVector(layout, params), models.items())
-        row = snapshot(epoch)
+    def measure():
+        row = {}
+        for split, samples, key in (("train", train_set, 1),
+                                    ("test", test_set, 2)):
+            losses = evaluate_losses(models, hp, samples, regime,
+                                     eval_rng.child(key), loss_weights, goals)
+            row.update((f"{split}_{name}", value)
+                       for name, value in losses.items())
+        return row
+
+    history = []
+    for row in _descend(models, opt_state, len(train_set), batch_size, rng,
+                        epochs, batch_grad, measure, "train_total",
+                        start_epoch):
         history.append(row)
-        if not np.isfinite(row["train_total"]):
-            raise NumericError(f"training loss diverged at epoch {epoch}")
-        lr_plateau_schedule(state, row["train_total"])
-        if row["test_total"] is not None and row["test_total"] < best_test:
-            best_test = row["test_total"]
-            if on_best:
-                on_best(epoch, models, row)
-        if (target_test_ctrl_ratio is not None and row["test_ctrl"] is not None
+        if on_best and row["test_total"] is not None and all(
+                row["test_total"] < old["test_total"] for old in history[:-1]):
+            on_best(row["epoch"], models, row)
+        if (len(history) > 1 and target_test_ctrl_ratio is not None
+                and row["test_ctrl"] is not None
                 and row["test_ctrl"]
                 <= target_test_ctrl_ratio * history[0]["test_ctrl"]):
             break

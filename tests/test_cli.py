@@ -845,6 +845,8 @@ MALFORMED_INPUTS = [
     ("manifest", "teacher.models.cost.config.gain", 0.5,
      "teacher.models.cost.config"),
     ("manifest", "teacher", DROP, "teacher"),
+    ("linear-manifest", "teacher.dt", "abc", "teacher.dt"),
+    ("linear-manifest", "teacher.dt", -1.0, "teacher.dt"),
 ]
 
 
@@ -853,19 +855,21 @@ MALFORMED_INPUTS = [
     ids=[f"{target}-{value}" if key is None else
          f"{target}-{key}-{'drop' if value is DROP else value}"
          for target, key, value, _ in MALFORMED_INPUTS])
-def test_malformed_inputs_exit_1_naming_the_file(pendulum_run, tmp_path,
-                                                 capsys, target, key, value,
-                                                 needle):
+def test_malformed_inputs_exit_1_naming_the_file(request, tmp_path, capsys,
+                                                 target, key, value, needle):
     # unchecked, these end in a traceback, in a message that names neither
-    # the file nor the key, or in a run under the wrong protocol
-    run_dir, tree = pendulum_run
+    # the file nor the key, or in a run under the wrong protocol; the
+    # pendulum run serves every case but the linear manifest's
+    run_dir, tree = request.getfixturevalue(
+        "linear_run" if target == "linear-manifest" else "pendulum_run")
     data, ck = tmp_path / "data", tmp_path / "checkpoint.json"
     shutil.copytree(tree["paths"]["dataset"], data)
     shutil.copy(run_dir / "checkpoint_best.json", ck)
     cfg = write_cfg(tmp_path / "cfg.json", merged(tree, {
         "paths": {"dataset": str(data), "checkpoint": str(ck)}}))
     path = {"config": tmp_path / "cfg.json", "checkpoint": ck,
-            "manifest": data / "manifest.json"}[target]
+            "manifest": data / "manifest.json",
+            "linear-manifest": data / "manifest.json"}[target]
     path.write_text(TEXTS[value] if key is None
                     else edited(path.read_text(), key, value))
     assert run_cli("eval", "--config", cfg, "--out", tmp_path / "ev") == 1

@@ -4,8 +4,7 @@ import pytest
 from picontrol.controller import (ModelSet, PathIntegralPlanner, RolloutCosts,
                                   _softmax_weights, _weighted_update,
                                   cost_to_go, monte_carlo_rollout,
-                                  pi_net_backward, pi_net_forward,
-                                  update_controls)
+                                  pi_net_backward, pi_net_forward)
 from picontrol.core import (ConsistencyError, NumericError, ParameterError,
                             ParamVector, PIHyperParams, RngStream, ShapeError,
                             gaussian_noise, unpack_params)
@@ -39,6 +38,12 @@ def tiny_neural_models(seed):
 # softmax stays smooth at this cost scale, so central differences converge.
 TINY_HP = PIHyperParams(lambda_=0.5, nu=1500.0, sigma=0.3,
                         num_samples=4, horizon=3, recurrences=2)
+
+
+def kernel_update(useq, noise, ctg, lambda_):
+    """The planner's update from given cost-to-go values: the two stages
+    a kernel iteration composes after its rollout."""
+    return _weighted_update(useq, _softmax_weights(ctg, lambda_), noise)
 
 
 # ---------------------------------------------------------------- rollouts
@@ -194,7 +199,7 @@ def test_equal_costs_average_the_noise():
     noise = gen.normal(size=(4, 5, 2))
     useq = gen.normal(size=(5, 2))
     ctg = np.ones((4, 6)) * 7.25
-    out = update_controls(useq, noise, ctg, 0.01)
+    out = kernel_update(useq, noise, ctg, 0.01)
     assert out == pytest.approx(useq + noise.mean(axis=0), abs=1e-12)
 
 
@@ -205,7 +210,7 @@ def test_small_lambda_selects_the_argmin():
     # integer-gap costs so every non-minimal weight is exp(-1e9) = 0
     ctg = np.arange(6, dtype=float)[:, None] * np.ones((1, 4))
     ctg[:, 1] = np.array([5.0, 4, 3, 2, 1, 0])
-    out = update_controls(useq, noise, ctg, 1e-9)
+    out = kernel_update(useq, noise, ctg, 1e-9)
     assert abs(out[0, 0] - noise[0, 0, 0]) < 1e-6
     assert abs(out[1, 0] - noise[5, 1, 0]) < 1e-6
     assert abs(out[2, 0] - noise[0, 2, 0]) < 1e-6
@@ -215,7 +220,7 @@ def test_hand_softmax_update():
     useq = np.zeros((1, 1))
     noise = np.array([[[1.0]], [[-1.0]]])
     ctg = np.array([[0.0, 0.0], [np.log(3.0), 0.0]])
-    out = update_controls(useq, noise, ctg, 1.0)
+    out = kernel_update(useq, noise, ctg, 1.0)
     assert out[0, 0] == pytest.approx(oracles.SOFTMAX_UPDATE_EXAMPLE, abs=1e-12)
 
 
@@ -224,9 +229,9 @@ def test_update_is_invariant_to_cost_shifts():
     noise = gen.normal(size=(8, 4, 2))
     useq = gen.normal(size=(4, 2))
     ctg = gen.normal(size=(8, 5)) ** 2
-    base = update_controls(useq, noise, ctg, 0.5)
-    shifted = update_controls(useq, noise, ctg + 100.0 * gen.normal(size=(1, 5)),
-                              0.5)
+    base = kernel_update(useq, noise, ctg, 0.5)
+    shifted = kernel_update(useq, noise, ctg + 100.0 * gen.normal(size=(1, 5)),
+                            0.5)
     assert shifted == pytest.approx(base, abs=1e-11)
 
 
@@ -248,7 +253,7 @@ def test_update_stays_in_the_noise_hull():
         useq = gen.normal(size=(6, 2))
         ctg = gen.normal(size=(5, 7)) ** 2
         lam = 10.0 ** gen.uniform(-3, 1)
-        delta = update_controls(useq, noise, ctg, lam) - useq
+        delta = kernel_update(useq, noise, ctg, lam) - useq
         eps = 1e-12
         assert np.all(delta >= noise.min(axis=0) - eps)
         assert np.all(delta <= noise.max(axis=0) + eps)
@@ -326,7 +331,7 @@ def test_single_recurrence_equals_kernel():
                            hp.sigma)
     _, costs = monte_carlo_rollout(x0, useq, noise, models.dynamics,
                                    models.cost, models.weight.matrix(), hp.nu)
-    direct = update_controls(useq, noise, cost_to_go(costs), hp.lambda_)
+    direct = kernel_update(useq, noise, cost_to_go(costs), hp.lambda_)
     assert np.array_equal(out, direct)
 
 

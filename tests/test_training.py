@@ -10,6 +10,7 @@ from picontrol.envs import pendulum_teacher_models, sample_linear_teacher
 from picontrol.experts import LQRProblem, lqr_solve
 from picontrol.models import (ControlCostWeight, LinearDynamics, MLPDynamics,
                               QuadraticCost)
+from picontrol import training
 from picontrol.training import (MPCSample, OpenLoopSample, OptimizerState,
                                 PENDULUM_GOALS, build_linear_dataset,
                                 build_pendulum_dataset, check_memory_budget,
@@ -118,8 +119,9 @@ def test_loss_cost_param_gradient_matches_finite_differences():
         probe.set_params(vec)
         return loss_cost(probe, goals, batch)
 
-    from picontrol.training import _loss_cost_param_grad
-    grad = _loss_cost_param_grad(models.cost, goals, batch)
+    from picontrol.training import _goal_margin
+    loss, grad = _goal_margin(models.cost, goals, batch, grad=True)
+    assert loss == loss_cost(models.cost, goals, batch)
     fd = oracles.central_difference(fn, models.cost.get_params())
     assert np.max(np.abs(grad - fd)) < 1e-8
 
@@ -189,9 +191,6 @@ def test_optimizer_state_validation():
         OptimizerState(v=np.zeros(1), lr=0.0)
     with pytest.raises(ParameterError):
         OptimizerState(v=np.array([-1.0]))
-    with pytest.raises(ParameterError):
-        rmsprop_step(np.zeros(1), np.zeros(1), OptimizerState(v=np.zeros(1)),
-                     decay=1.0)
 
 
 def test_plateau_halves_after_exactly_five_flat_epochs():
@@ -293,6 +292,30 @@ def test_pretrain_reduces_the_dynamics_loss(tiny_pendulum_data):
                                 rng=RngStream(9))
     assert history[-1]["train_dyn"] < history[0]["train_dyn"]
     assert history[-1]["test_dyn"] < history[0]["test_dyn"]
+
+
+def test_pretrain_history_records_the_rate_each_epoch_stepped_at(
+        tiny_pendulum_data, monkeypatch):
+    # lr 0.3 overshoots, so the loss plateaus and the schedule halves the
+    # rate; row e must hold the rate of epoch e's steps, as train_pinet's
+    # history does, not the rate the schedule leaves for epoch e + 1
+    train, _, _ = tiny_pendulum_data
+    rates = []
+
+    def recording_step(params, grads, state):
+        rates.append(state.lr)
+        return rmsprop_step(params, grads, state)
+
+    monkeypatch.setattr(training, "rmsprop_step", recording_step)
+    dyn = MLPDynamics(hidden=8, dt=0.1, init_rng=RngStream(2))
+    history = pretrain_dynamics(dyn, train[:8], [], epochs=12, batch_size=4,
+                                lr=0.3, rng=RngStream(9))
+    assert len(rates) == 24  # two steps per epoch
+    assert min(rates) < 0.3, "the rate never halved"
+    assert history[0]["lr"] == 0.3
+    for row in history[1:]:
+        epoch = row["epoch"]
+        assert rates[2 * epoch - 2] == rates[2 * epoch - 1] == row["lr"], epoch
 
 
 def test_pretrain_rejects_an_empty_dataset():

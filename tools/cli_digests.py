@@ -9,7 +9,10 @@ one gradcheck with a frozen segment, a pendulum simulate whose planner
 warm-starts, and a linear gen-data, train and eval without a test split
 (its test_data.csv is empty and its test metrics are null).  Gradcheck
 checks each environment's own models; export-costmap refuses a linear
-config, so it runs on the pendulum only.  Command output goes to stderr;
+config, so it runs on the pendulum only, as does one more train whose
+pretraining overshoots at lr 0.3 and so reaches the plateau schedule,
+which halves its rate (the other runs pretrain for fewer epochs than the
+schedule's patience).  Command output goes to stderr;
 stdout gets one ``sha256  path`` line per artifact, path relative to
 OUT_DIR, sorted.
 Artifacts are byte-identical on rerun, so two checkouts can be compared
@@ -99,6 +102,8 @@ def runs(out):
             ]
         if env == "pendulum":
             trees += [
+                ("train-plateau", "train", {**use_data, "training": {
+                    "pretrain": {"epochs": 12, "lr": 0.3}}}),
                 ("export-costmap", "export-costmap", {}),
                 ("export-costmap-checkpoint", "export-costmap",
                  {"paths": {"checkpoint": best},
