@@ -1,12 +1,17 @@
 """Command-line surface: reproducible experiment pipelines and artifacts.
 
 Each command reads one JSON config (deep-merged over per-profile
-defaults), derives every random draw from a single seed, takes an
-exclusive lock on its output directory, and writes byte-stable
-artifacts: CSV for datasets, trajectories and histories, JSON for
-manifests, checkpoints and reports.  Wall-clock times are printed to
+defaults), derives every random draw from a single seed, and writes
+byte-stable artifacts: CSV for datasets, trajectories and histories, JSON
+for manifests, checkpoints and reports.  Wall-clock times are printed to
 stdout but never written into artifacts, so reruns with the same config
 and seed reproduce every output file exactly.
+
+``main`` is the one frame around every command: under a lock on the
+output directory it runs ``COMMANDS[command](cfg, env, out_dir, force,
+inputs)``, then writes ``resolved_config.<command>.json`` and prints the
+elapsed time.  A command that raises writes no resolved config; one whose
+finished run fails a check returns the NumericError for main to raise.
 
 Verbs: gen-data, train, eval, simulate, gradcheck, export-costmap.
 Exit codes: 0 success, 1 validation error, 2 numeric failure,
@@ -298,8 +303,10 @@ def experiment_lock(out_dir):
         os.unlink(path)
 
 
-def refuse_existing(out_dir, names, force):
-    existing = [name for name in names
+def refuse_existing(out_dir, command, names, force):
+    """Refuse, without --force, to overwrite a command's artifacts (names)
+    or the resolved config the frame writes after it."""
+    existing = [name for name in [*names, f"resolved_config.{command}.json"]
                 if os.path.exists(os.path.join(out_dir, name))]
     if existing and not force:
         raise ParameterError(
@@ -307,14 +314,13 @@ def refuse_existing(out_dir, names, force):
             + " (pass --force)")
 
 
-def write_resolved_config(out_dir, command, cfg, inputs=None):
+def write_resolved_config(out_dir, command, cfg, inputs):
     """Write the merged config a command ran with.
 
     Input paths are machine-local, so the file records the sha256 of each
     input the command read (inputs maps a label to (path, sha256)) in place
     of the configured paths; the paths themselves go to stdout.
     """
-    inputs = inputs or {}
     tree = copy.deepcopy(cfg)
     del tree["paths"]
     tree["command"] = command
@@ -371,42 +377,57 @@ def models_from_json(tree):
     return ModelSet(built["dynamics"], built["cost"], built["control_weight"])
 
 
-def optimizer_to_json(state: OptimizerState):
-    best = state.best_loss
-    return {"v": state.v.tolist(), "lr": float(state.lr),
-            "epochs_since_improvement": int(state.epochs_since_improvement),
-            "best_loss": None if math.isinf(best) else float(best)}
-
-
-def optimizer_from_json(tree):
-    best = tree["best_loss"]
-    return OptimizerState(v=np.asarray(tree["v"], dtype=float),
-                          lr=float(tree["lr"]),
-                          epochs_since_improvement=int(
-                              tree["epochs_since_improvement"]),
-                          best_loss=math.inf if best is None else float(best))
-
-
-def write_checkpoint(path, models, hyper_tree, environment, epoch, opt_state):
+def write_checkpoint(path, models, hyper_tree, environment, epoch,
+                     opt: OptimizerState):
+    best = opt.best_loss
     write_json(path, {
         "version": ARTIFACT_VERSION,
         "environment": environment,
         "epoch": int(epoch),
-        "hyper": copy.deepcopy(hyper_tree),
+        "hyper": hyper_tree,
         "models": models_to_json(models),
-        "optimizer": optimizer_to_json(opt_state),
+        "optimizer": {"v": opt.v, "lr": float(opt.lr),
+                      "epochs_since_improvement":
+                          int(opt.epochs_since_improvement),
+                      "best_loss": None if math.isinf(best) else float(best)},
     })
 
 
-def _load_models(cfg, out_dir, default_name, inputs):
-    """(models, checkpoint tree) of paths.checkpoint, or of default_name in
-    out_dir, checked against the config; records provenance in inputs."""
+def load_checkpoint(cfg, out_dir, default_name, inputs):
+    """The checkpoint at paths.checkpoint, or at default_name in out_dir,
+    every field checked (errors name the file and the key): its models
+    built, its optimizer block an OptimizerState with one accumulator per
+    parameter.  The one reader of checkpoints; records provenance."""
     path = cfg["paths"]["checkpoint"] or os.path.join(out_dir, default_name)
-    tree, inputs["checkpoint"] = _read_artifact(path, cfg["environment"],
-                                                ("hyper",))
-    _validate_hyper(tree["hyper"], f"{path}: hyper")
+    ck, inputs["checkpoint"] = _read_artifact(path, cfg["environment"],
+                                              ("hyper",))
+    _validate_hyper(ck["hyper"], f"{path}: hyper")
+    keys = ("v", "lr", "epochs_since_improvement", "best_loss")
     with _prefixed(f"{path}: "):
-        return models_from_json(tree.get("models")), tree
+        models = ck["models"] = models_from_json(ck.get("models"))
+        epoch, opt = ck.get("epoch"), ck.get("optimizer")
+        _require(type(epoch) is int and epoch >= 0,
+                 f"epoch must be an integer >= 0, got {epoch!r}")
+        _require(isinstance(opt, dict) and opt.keys() == set(keys),
+                 f"optimizer must be an object with the keys "
+                 f"{', '.join(keys)}, got {opt!r}")
+        v, lr, waited, best = (opt[key] for key in keys)
+        _require(isinstance(v, list) and len(v) == models.num_params
+                 and all(_finite(x) and x >= 0 for x in v),
+                 f"optimizer.v must be a list of {models.num_params} finite "
+                 f"numbers >= 0")
+        _require(_finite(lr) and lr > 0,
+                 f"optimizer.lr must be a finite number > 0, got {lr!r}")
+        _require(type(waited) is int and waited >= 0,
+                 f"optimizer.epochs_since_improvement must be an integer "
+                 f">= 0, got {waited!r}")
+        _require(best is None or _finite(best), f"optimizer.best_loss must "
+                 f"be a finite number or null, got {best!r}")
+    ck["optimizer"] = OptimizerState(
+        v=np.asarray(v, dtype=float), lr=float(lr),
+        epochs_since_improvement=waited,
+        best_loss=math.inf if best is None else float(best))
+    return ck
 
 
 # ----------------------------------------------------------------- dataset io
@@ -716,10 +737,9 @@ class PendulumEnvironment:
             root.child(0), ds["n_traj_train"], ds["n_traj_test"],
             ds["duration"], horizon)
         teacher = ModelSet(*pendulum_teacher_models())
-        # closed_loop's stream, so an expert evaluation of this dataset
-        # reproduces the manifest's expert metrics
-        _, runs = self.simulate(self.expert(teacher, horizon), teacher,
-                                root.child(2), protocol)
+        # scored as an expert evaluation of this dataset will score it
+        runs = self.closed_loop(self.expert(teacher, horizon),
+                                {"seed": cfg["seed"], "evaluation": protocol})
         metrics = {key: runs[key] for key in ("success_rate", "mean_cost")}
         print(f"expert evaluation: success rate {metrics['success_rate']:.2f}"
               f", mean cost {metrics['mean_cost']:.6g}")
@@ -799,12 +819,9 @@ ENVIRONMENTS = {"linear": LinearEnvironment(),
 # --------------------------------------------------------------- gen-data
 
 
-def cmd_gen_data(cfg, out_dir, force):
-    env = ENVIRONMENTS[cfg["environment"]]
-    refuse_existing(out_dir, ["train_data.csv", "test_data.csv",
-                              "manifest.json",
-                              "resolved_config.gen-data.json"], force)
-    started = time.time()
+def cmd_gen_data(cfg, env, out_dir, force, inputs):
+    refuse_existing(out_dir, "gen-data",
+                    ["train_data.csv", "test_data.csv", "manifest.json"], force)
     train, test, fields, summary = env.generate(
         cfg, RngStream(cfg["seed"]).child(STREAM_DATA))
     env.write_dataset(os.path.join(out_dir, "train_data.csv"), train)
@@ -812,36 +829,28 @@ def cmd_gen_data(cfg, out_dir, force):
     write_json(os.path.join(out_dir, "manifest.json"),
                {"version": ARTIFACT_VERSION, "environment": env.name,
                 "seed": cfg["seed"], "dataset": cfg["dataset"], **fields})
-    write_resolved_config(out_dir, "gen-data", cfg)
     print(summary)
-    print(f"elapsed {time.time() - started:.1f} s")
 
 
 # ------------------------------------------------------------------- train
 
 
-def cmd_train(cfg, out_dir, force):
-    env = ENVIRONMENTS[cfg["environment"]]
+def cmd_train(cfg, env, out_dir, force, inputs):
     tr = cfg["training"]
     pretraining = tr.get("pretrain") is not None and not tr["resume"]
     artifacts = ["checkpoint_best.json", "checkpoint_last.json",
-                 "history.csv", "train_report.json",
-                 "resolved_config.train.json"]
+                 "history.csv", "train_report.json"]
     if pretraining:
         artifacts.append("pretrain_history.csv")
-    refuse_existing(out_dir, artifacts, force)
-    inputs = {}
+    refuse_existing(out_dir, "train", artifacts, force)
     manifest, train_set, test_set = load_dataset(cfg, out_dir, env, inputs)
     hp = hyper_from_cfg(cfg["hyper"])
     _check_horizon(train_set, hp, "controller")
     root = RngStream(cfg["seed"]).child(STREAM_TRAIN)
-    started = time.time()
 
     if tr["resume"]:
-        models, ck = _load_models(cfg, out_dir, "checkpoint_last.json",
-                                  inputs)
-        opt = optimizer_from_json(ck["optimizer"])
-        start_epoch = int(ck["epoch"])
+        ck = load_checkpoint(cfg, out_dir, "checkpoint_last.json", inputs)
+        models, opt, start_epoch = ck["models"], ck["optimizer"], ck["epoch"]
     else:
         models = env.init_models(cfg, root.child(0))
         opt = OptimizerState(v=np.zeros(models.num_params), lr=tr["lr"])
@@ -913,23 +922,17 @@ def cmd_train(cfg, out_dir, force):
     }
     _print_closed_loop(report["closed_loop"])
     write_json(os.path.join(out_dir, "train_report.json"), report)
-    write_resolved_config(out_dir, "train", cfg, inputs)
     row = history[-1]
     print(f"final epoch {final_epoch}: train total {_fmt(row['train_total'])},"
           f" test total {_fmt(row['test_total'])}")
-    print(f"elapsed {time.time() - started:.1f} s")
 
 
 # -------------------------------------------------------------------- eval
 
 
-def cmd_eval(cfg, out_dir, force):
-    env = ENVIRONMENTS[cfg["environment"]]
-    refuse_existing(out_dir, ["eval_report.json", "resolved_config.eval.json"],
-                    force)
-    inputs = {}
+def cmd_eval(cfg, env, out_dir, force, inputs):
+    refuse_existing(out_dir, "eval", ["eval_report.json"], force)
     manifest, train_set, test_set = load_dataset(cfg, out_dir, env, inputs)
-    started = time.time()
     ck_ref = cfg["paths"]["checkpoint"] or os.path.join(out_dir,
                                                         "checkpoint_best.json")
     report = {"version": 1, "environment": env.name,
@@ -942,8 +945,8 @@ def cmd_eval(cfg, out_dir, force):
     if ck_ref == "expert":
         report.update(env.expert_metrics(manifest, train_set, test_set))
     else:
-        models, ck = _load_models(cfg, out_dir, "checkpoint_best.json",
-                                  inputs)
+        ck = load_checkpoint(cfg, out_dir, "checkpoint_best.json", inputs)
+        models = ck["models"]
         planner = _pi_planner(models, ck["hyper"])
         hp = planner.hp
         _check_horizon(train_set, hp, "checkpoint")
@@ -962,7 +965,6 @@ def cmd_eval(cfg, out_dir, force):
         report["closed_loop"] = env.closed_loop(planner, manifest)
 
     write_json(os.path.join(out_dir, "eval_report.json"), report)
-    write_resolved_config(out_dir, "eval", cfg, inputs)
     if report["mse"] is not None:
         print("MSE: " + _fmt_items(report["mse"]))
     if report["demo_cost"] is not None:
@@ -970,23 +972,18 @@ def cmd_eval(cfg, out_dir, force):
     _print_closed_loop(report["closed_loop"])
     if report["parameter_count"] is not None:
         print(f"trainable parameters: {report['parameter_count']}")
-    print(f"elapsed {time.time() - started:.1f} s")
 
 
 # ---------------------------------------------------------------- simulate
 
 
-def cmd_simulate(cfg, out_dir, force):
-    env = ENVIRONMENTS[cfg["environment"]]
+def cmd_simulate(cfg, env, out_dir, force, inputs):
     sim = cfg["simulate"]
     runs = sim["runs"]
     run_files = [f"run_{i:03d}.csv" for i in range(runs)]
-    refuse_existing(out_dir, run_files + ["simulate_report.json",
-                                          "resolved_config.simulate.json"],
+    refuse_existing(out_dir, "simulate", run_files + ["simulate_report.json"],
                     force)
     root = RngStream(cfg["seed"]).child(STREAM_SIM)
-    started = time.time()
-    inputs = {}
     teacher, dt, expert_horizon = env.simulation(cfg, out_dir, inputs)
     controller = sim["controller"]
     if controller == "expert":
@@ -994,9 +991,8 @@ def cmd_simulate(cfg, out_dir, force):
     elif controller == "pi_teacher":
         planner = _pi_planner(teacher, cfg["hyper"])
     else:
-        models, ck = _load_models(cfg, out_dir, "checkpoint_best.json",
-                                  inputs)
-        planner = _pi_planner(models, ck["hyper"])
+        ck = load_checkpoint(cfg, out_dir, "checkpoint_best.json", inputs)
+        planner = _pi_planner(ck["models"], ck["hyper"])
 
     trajectories, metrics = env.simulate(planner, teacher, root, sim)
     for name, (states, controls) in zip(run_files, trajectories):
@@ -1005,10 +1001,8 @@ def cmd_simulate(cfg, out_dir, force):
     report = {"version": 1, "environment": env.name,
               "controller": controller, "metrics": metrics}
     write_json(os.path.join(out_dir, "simulate_report.json"), report)
-    write_resolved_config(out_dir, "simulate", cfg, inputs)
     print(f"{runs} runs: " + _fmt_items(
         {key: value for key, value in metrics.items() if key != "per_run"}))
-    print(f"elapsed {time.time() - started:.1f} s")
 
 
 # --------------------------------------------------------------- gradcheck
@@ -1049,15 +1043,12 @@ def _fd_gradient(models, hp, x0, demo, noise_stream, coords):
     return fd
 
 
-def cmd_gradcheck(cfg, out_dir, force):
-    env = ENVIRONMENTS[cfg["environment"]]
+def cmd_gradcheck(cfg, env, out_dir, force, inputs):
     gc = cfg["gradcheck"]
-    refuse_existing(out_dir, ["gradcheck_report.json",
-                              "resolved_config.gradcheck.json"], force)
+    refuse_existing(out_dir, "gradcheck", ["gradcheck_report.json"], force)
     hp = hyper_from_cfg(gc["hyper"])
     frozen = tuple(gc["freeze"])
     root = RngStream(cfg["seed"]).child(STREAM_GRAD)
-    started = time.time()
 
     checks = {}  # live segment -> per-instance (rel, violation, est, ref)
     frozen_abs = {name: 0.0 for name in frozen}
@@ -1121,7 +1112,6 @@ def cmd_gradcheck(cfg, out_dir, force):
               "frozen_max_abs_gradient": frozen_abs,
               "passed": passed}
     write_json(os.path.join(out_dir, "gradcheck_report.json"), report)
-    write_resolved_config(out_dir, "gradcheck", cfg)
 
     for name, entry in segments.items():
         print(f"segment {name}: max rel err {entry['max_rel_err']:.3e} "
@@ -1129,17 +1119,17 @@ def cmd_gradcheck(cfg, out_dir, force):
               f"instance {entry['worst_instance']})")
     for name, peak in frozen_abs.items():
         print(f"segment {name}: frozen, max |gradient| {peak!r}")
-    print(f"elapsed {time.time() - started:.1f} s")
-    if not passed:
-        failing = {name: entry for name, entry in segments.items()
-                   if entry["failed"]}
-        detail = "; ".join(
-            f"{name} coordinate {entry['worst_coordinate']} on instance "
-            f"{entry['worst_instance']}: {entry['estimate']!r} vs reference "
-            f"{entry['reference']!r}" for name, entry in failing.items())
-        raise NumericError(
-            f"gradient check failed at tolerance {tolerance}: {detail}")
-    print("gradient check passed")
+    if passed:
+        print("gradient check passed")
+        return None
+    # the report is complete, so the frame finishes before the exit 2
+    detail = "; ".join(
+        f"{name} coordinate {entry['worst_coordinate']} on instance "
+        f"{entry['worst_instance']}: {entry['estimate']!r} vs reference "
+        f"{entry['reference']!r}"
+        for name, entry in segments.items() if entry["failed"])
+    return NumericError(
+        f"gradient check failed at tolerance {tolerance}: {detail}")
 
 
 # ----------------------------------------------------------- export-costmap
@@ -1156,19 +1146,16 @@ def _grid_axis(lo, hi, cells):
     return (lo * (cells - 1 - idx) + hi * idx) / (cells - 1)
 
 
-def cmd_export_costmap(cfg, out_dir, force):
-    _require(cfg["environment"] == "pendulum",
+def cmd_export_costmap(cfg, env, out_dir, force, inputs):
+    _require(env.name == "pendulum",
              "cost maps are defined for the pendulum environment")
     cm = cfg["costmap"]
-    refuse_existing(out_dir, ["costmap.csv",
-                              "resolved_config.export-costmap.json"], force)
-    started = time.time()
-    inputs = {}
+    refuse_existing(out_dir, "export-costmap", ["costmap.csv"], force)
     if cm["source"] == "teacher":
         cost = PendulumTeacherCost()
     else:
-        cost = _load_models(cfg, out_dir, "checkpoint_best.json",
-                            inputs)[0].cost
+        cost = load_checkpoint(cfg, out_dir, "checkpoint_best.json",
+                               inputs)["models"].cost
 
     thetas = _grid_axis(*cm["theta_range"], cm["theta_cells"])
     dots = _grid_axis(*cm["theta_dot_range"], cm["theta_dot_cells"])
@@ -1179,10 +1166,8 @@ def cmd_export_costmap(cfg, out_dir, force):
     write_csv(os.path.join(out_dir, "costmap.csv"),
               ["theta", "theta_dot", "cost"],
               np.column_stack([states, values]).tolist())
-    write_resolved_config(out_dir, "export-costmap", cfg, inputs)
     print(f"wrote {states.shape[0]} grid rows "
           f"({cm['theta_cells']} x {cm['theta_dot_cells']})")
-    print(f"elapsed {time.time() - started:.1f} s")
 
 
 # -------------------------------------------------------------------- main
@@ -1242,7 +1227,14 @@ def main(argv=None):
         out_dir = args.out or os.path.join("runs", cfg["experiment_id"])
         os.makedirs(out_dir, exist_ok=True)
         with experiment_lock(out_dir):
-            COMMANDS[args.command](cfg, out_dir, args.force)
+            inputs, started = {}, time.time()
+            failure = COMMANDS[args.command](
+                cfg, ENVIRONMENTS[cfg["environment"]], out_dir, args.force,
+                inputs)
+            write_resolved_config(out_dir, args.command, cfg, inputs)
+            print(f"elapsed {time.time() - started:.1f} s")
+            if failure is not None:
+                raise failure
     except MemoryBudgetError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

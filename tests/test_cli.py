@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from picontrol.cli import (ENVIRONMENTS, LEAST, NULLABLE, POSITIVE,
-                           default_config, hyper_from_cfg, load_config, main)
+                           default_config, hyper_from_cfg, load_config, main,
+                           models_from_json, write_checkpoint)
 from picontrol.core import RngStream
 from picontrol.envs import sample_linear_teacher
-from picontrol.training import (check_memory_budget, sample_loss_and_grad,
-                                tape_bytes)
+from picontrol.training import (OptimizerState, check_memory_budget,
+                                sample_loss_and_grad, tape_bytes)
 
 
 def run_cli(*argv):
@@ -245,6 +246,27 @@ def test_pendulum_resume_skips_pretraining_and_matches_straight_run(
             == dir_bytes(b)["checkpoint_last.json"])
 
 
+def test_resume_from_a_malformed_checkpoint_exits_1_before_training(
+        linear_run, tmp_path, capsys, monkeypatch):
+    # unchecked, an epoch of 1.7 resumes silently at epoch 1
+    run_dir, tree = linear_run
+    ck = tmp_path / "checkpoint_last.json"
+    ck.write_text(edited((run_dir / "checkpoint_last.json").read_text(),
+                         "epoch", 1.7))
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training ran")
+
+    monkeypatch.setattr("picontrol.cli.train_pinet", no_training)
+    cfg = write_cfg(tmp_path / "cfg.json", merged(tree, {
+        "paths": {"checkpoint": str(ck)}, "training": {"resume": True}}))
+    out = tmp_path / "o"
+    assert run_cli("train", "--config", cfg, "--out", out, "--seed", "7") == 1
+    err = capsys.readouterr().err
+    assert f"{ck}: epoch must be an integer >= 0, got 1.7" in err
+    assert os.listdir(out) == []
+
+
 def test_train_memory_budget_refusal_exits_3(linear_dataset, tmp_path):
     tree = json.loads(json.dumps(LINEAR_TINY))
     tree["paths"] = {"dataset": str(linear_dataset)}
@@ -469,10 +491,10 @@ def test_linear_simulate_scores_on_the_dataset_teacher(linear_dataset,
     tree["simulate"] = {"runs": 2, "horizon": 12}
     cfg = load_config(write_cfg(tmp_path / "base.json", tree), "desk", 5)
     manifest = json.loads((linear_dataset / "manifest.json").read_text())
+    teacher = models_from_json(manifest["teacher"]["models"])
     ck = tmp_path / "teacher_checkpoint.json"
-    ck.write_text(json.dumps({"version": 1, "environment": "linear",
-                              "epoch": 0, "hyper": cfg["hyper"],
-                              "models": manifest["teacher"]["models"]}))
+    write_checkpoint(str(ck), teacher, cfg["hyper"], "linear", 0,
+                     OptimizerState(v=np.zeros(teacher.num_params)))
     tree["paths"]["checkpoint"] = str(ck)
     outs = {}
     for controller in ("pi_teacher", "checkpoint"):
@@ -493,7 +515,9 @@ def test_interrupted_write_keeps_the_previous_checkpoint(linear_run, tmp_path,
     path = tmp_path / "checkpoint_last.json"
     before = (out / "checkpoint_last.json").read_bytes()
     path.write_bytes(before)
-    ck = json.loads(before)
+    ck = cli.load_checkpoint({"environment": "linear",
+                              "paths": {"checkpoint": str(path)}},
+                             None, None, {})
 
     def torn_dump(tree, fh, **kwargs):
         fh.write(json.dumps(tree)[:40])
@@ -501,9 +525,8 @@ def test_interrupted_write_keeps_the_previous_checkpoint(linear_run, tmp_path,
 
     monkeypatch.setattr("picontrol.cli.json.dump", torn_dump)
     with pytest.raises(OSError):
-        cli.write_checkpoint(str(path), cli.models_from_json(ck["models"]),
-                             ck["hyper"], "linear", ck["epoch"] + 1,
-                             cli.optimizer_from_json(ck["optimizer"]))
+        cli.write_checkpoint(str(path), ck["models"], ck["hyper"], "linear",
+                             ck["epoch"] + 1, ck["optimizer"])
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["checkpoint_last.json"]
 
@@ -558,6 +581,8 @@ def test_gradcheck_detects_corrupted_backward_pass(tmp_path, monkeypatch,
     assert run_cli("gradcheck", "--config", cfg, "--out", out, "--seed", "0") == 2
     report = json.load(open(out / "gradcheck_report.json"))
     assert report["passed"] is False
+    # the failed check is a finished run, so it records its config too
+    assert (out / "resolved_config.gradcheck.json").exists()
     assert [name for name, entry in report["segments"].items()
             if entry["failed"]] == [segment]
     assert report["segments"][segment]["max_rel_err"] > 1e-4
@@ -847,6 +872,16 @@ MALFORMED_INPUTS = [
     ("manifest", "teacher", DROP, "teacher"),
     ("linear-manifest", "teacher.dt", "abc", "teacher.dt"),
     ("linear-manifest", "teacher.dt", -1.0, "teacher.dt"),
+    ("checkpoint", "epoch", 1.7, "epoch"),
+    ("checkpoint", "epoch", -3, "epoch"),
+    ("checkpoint", "epoch", DROP, "epoch"),
+    ("checkpoint", "optimizer", DROP, "optimizer"),
+    ("checkpoint", "optimizer.v", [0.0], "optimizer.v"),
+    ("checkpoint", "optimizer.lr", -1.0, "optimizer.lr"),
+    ("checkpoint", "optimizer.lr", float("inf"), "optimizer.lr"),
+    ("checkpoint", "optimizer.epochs_since_improvement", 2.5,
+     "optimizer.epochs_since_improvement"),
+    ("checkpoint", "optimizer.best_loss", "x", "optimizer.best_loss"),
 ]
 
 
@@ -911,6 +946,36 @@ def test_argparse_error_exits_1():
     with pytest.raises(SystemExit) as err:
         main(["gen-data", "--no-such-flag"])
     assert err.value.code == 1
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval", "simulate",
+                                     "gradcheck", "export-costmap"])
+def test_second_run_refuses_to_overwrite_the_resolved_config(
+        linear_run, tmp_path, capsys, command):
+    # the frame's resolved config is refused as each command's own
+    # artifacts are, and a refused run leaves it as it was
+    run_dir, trained = linear_run
+    tree = {
+        "gen-data": LINEAR_TINY,
+        "train": trained,
+        "eval": merged(trained, {"paths": {
+            "checkpoint": str(run_dir / "checkpoint_best.json")}}),
+        "simulate": merged(trained, {"simulate": {"horizon": 12}}),
+        "gradcheck": {"environment": "linear",
+                      "gradcheck": {"instances": 1}},
+        "export-costmap": {"costmap": {"theta_cells": 3,
+                                       "theta_dot_cells": 3}},
+    }[command]
+    cfg = write_cfg(tmp_path / "cfg.json", tree)
+    out = tmp_path / "o"
+    resolved = out / f"resolved_config.{command}.json"
+    assert run_cli(command, "--config", cfg, "--out", out, "--seed", "7") == 0
+    before = resolved.read_bytes()
+    capsys.readouterr()
+    assert run_cli(command, "--config", cfg, "--out", out, "--seed", "8") == 1
+    err = capsys.readouterr().err
+    assert "refusing to overwrite" in err and resolved.name in err
+    assert resolved.read_bytes() == before
 
 
 def test_resolved_config_is_always_written(tmp_path):

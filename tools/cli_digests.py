@@ -5,8 +5,10 @@ Usage:
 
 Each command of both environments runs once into its own directory under
 OUT_DIR (which must not hold earlier results), including one train and
-one gradcheck with a frozen segment, a pendulum simulate whose planner
-warm-starts, and a linear gen-data, train and eval without a test split
+one gradcheck with a frozen segment, an eval of the expert
+(``paths.checkpoint: "expert"``), a pendulum simulate whose planner
+warm-starts, a linear train that resumes from the train run's last
+checkpoint, and a linear gen-data, train and eval without a test split
 (its test_data.csv is empty and its test metrics are null).  Gradcheck
 checks each environment's own models; export-costmap refuses a linear
 config, so it runs on the pendulum only, as does one more train whose
@@ -80,6 +82,8 @@ def runs(out):
             ("train-frozen", "train",
              {**use_data, "training": {"freeze": ["cost"]}}),
             ("eval", "eval", use_both),
+            ("eval-expert", "eval",
+             {"paths": {"dataset": data, "checkpoint": "expert"}}),
             ("simulate-expert", "simulate", use_data),
             ("simulate-pi_teacher", "simulate",
              {**use_data, "simulate": {"controller": "pi_teacher"}}),
@@ -92,7 +96,11 @@ def runs(out):
         if env == "linear":
             empty = os.path.join(out, env, "gen-data-no-test")
             no_test = {"dataset": {"n_test": 0}, "paths": {"dataset": empty}}
+            last = os.path.join(out, env, "train", "checkpoint_last.json")
             trees += [
+                ("train-resume", "train",
+                 {"paths": {"dataset": data, "checkpoint": last},
+                  "training": {"resume": True, "epochs": 3}}),
                 ("gen-data-no-test", "gen-data", {"dataset": {"n_test": 0}}),
                 ("train-no-test", "train", no_test),
                 # without a test split train writes no best checkpoint
